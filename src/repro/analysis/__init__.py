@@ -12,6 +12,19 @@ from repro.analysis.simple import SimpleEngine
 from repro.analysis.liveness import upward_exposed
 from repro.analysis.transform import TransformResult, transform_program
 
+
+def make_engine(name: str) -> IntraEngine:
+    """A fresh intraprocedural engine for ``ICPConfig.engine``.
+
+    The one factory shared by the pipeline and the scheduler's task runner.
+    """
+    if name == "scc":
+        return SCCEngine()
+    if name == "simple":
+        return SimpleEngine()
+    raise ValueError(f"unknown intraprocedural engine {name!r}")
+
+
 __all__ = [
     "CallEffects",
     "CallSiteValues",
@@ -21,6 +34,7 @@ __all__ = [
     "SCCEngine",
     "SimpleEngine",
     "TransformResult",
+    "make_engine",
     "transform_program",
     "upward_exposed",
 ]

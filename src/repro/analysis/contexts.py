@@ -221,8 +221,7 @@ class _Tabulation:
         self.stats = ContextStats()
         self._serial = 0
         self._config_fp = config_fingerprint(
-            config.engine, config.propagate_floats, program.global_names,
-            "fs", config.engine_backend,
+            config.engine, config.propagate_floats, program.global_names, "fs"
         )
 
     # -- table maintenance -------------------------------------------------
@@ -440,7 +439,6 @@ class _Tabulation:
                         entry_env=dict(ctx.env),
                         effects=self.effects,
                         engine=self.config.engine,
-                        engine_backend=self.config.engine_backend,
                         pass_label="fs",
                         fingerprints=fingerprints,
                         context=context_fp,

@@ -11,33 +11,24 @@ Phi functions meet only over executable incoming edges; conditional branches
 with a constant condition enable only the taken edge, so code that is dead
 under the (interprocedurally supplied) entry constants contributes nothing —
 this is exactly the mechanism that finds ``f2`` in the paper's Figure 1.
-
-The engine has two interchangeable backends.  ``graph`` (the default, and
-the oracle) solves directly over the object-graph IR below; ``flat``
-(:mod:`repro.analysis.flat`) lowers the procedure into a slot-indexed
-skeleton once, caches it, and runs the same fixpoint as tight loops over
-preallocated arrays.  Both must produce byte-identical results — the
-backend knob may only change wall-clock time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.base import (
     CallEffects,
+    CallSiteValues,
     IntraEngine,
     IntraResult,
     entry_value,
+    site_key,
 )
-from repro.analysis.flat import SkeletonCache
-from repro.analysis.phases import PHASES
-from repro.analysis.queries import SolverQueries
 from repro.ir.builder import CFGBuildResult, build_cfg
-from repro.ir.cfg import ArrayStoreInstr, AssignInstr, Branch, CallInstr, Jump
+from repro.ir.cfg import ArrayStoreInstr, AssignInstr, Branch, CallInstr, Jump, Ret
 from repro.ir.eval import evaluate_expr
 from repro.ir.lattice import BOTTOM, TOP, LatticeValue, meet, meet_all
 from repro.ir.ssa import PhiNode, SSAFunction, SSAName, build_ssa
@@ -45,9 +36,6 @@ from repro.lang import ast
 from repro.lang.symbols import ProcedureSymbols
 
 Edge = Tuple[Optional[int], int]  # (pred block id or None for entry, succ id)
-
-#: Legal values of the engine's ``backend`` knob.
-BACKENDS = ("graph", "flat")
 
 
 @dataclass
@@ -77,22 +65,8 @@ class SCCEngine(IntraEngine):
 
     name = "scc"
 
-    def __init__(
-        self,
-        optimistic_uninitialized: bool = False,
-        backend: str = "graph",
-    ):
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
+    def __init__(self, optimistic_uninitialized: bool = False):
         self._optimistic_uninitialized = optimistic_uninitialized
-        self._backend = backend
-        self._skeletons = SkeletonCache() if backend == "flat" else None
-
-    @property
-    def backend(self) -> str:
-        return self._backend
 
     def analyze(
         self,
@@ -102,13 +76,6 @@ class SCCEngine(IntraEngine):
         effects: CallEffects,
         record_exit_vars: Optional[Set[str]] = None,
     ) -> IntraResult:
-        if self._backend == "flat":
-            return self._analyze_flat(
-                proc, symbols, entry_env, effects, record_exit_vars
-            )
-        timing = PHASES.enabled
-        if timing:
-            t0 = perf_counter()
         build = build_cfg(proc, symbols)
         cfg = build.cfg
         record_globals: Set[str] = set()
@@ -123,90 +90,37 @@ class SCCEngine(IntraEngine):
             ),
             record_at_returns=record_exit_vars,
         )
-        if timing:
-            t1 = perf_counter()
         solver = _Solver(
             ssa, symbols, entry_env, effects, self._optimistic_uninitialized
         )
         solver.run()
-        if timing:
-            t2 = perf_counter()
-        result = self._assemble(
-            proc, build, ssa, solver, record_exit_vars
-        )
-        if timing:
-            t3 = perf_counter()
-            PHASES.record(t1 - t0, t2 - t1, t3 - t2)
-        return result
-
-    def _analyze_flat(
-        self,
-        proc: ast.Procedure,
-        symbols: ProcedureSymbols,
-        entry_env: Dict[str, LatticeValue],
-        effects: CallEffects,
-        record_exit_vars: Optional[Set[str]],
-    ) -> IntraResult:
-        timing = PHASES.enabled
-        if timing:
-            t0 = perf_counter()
-        skeleton, release, _hit = self._skeletons.acquire(
-            proc, symbols, effects, record_exit_vars
-        )
-        try:
-            if timing:
-                t1 = perf_counter()
-            outcome = skeleton.solve(
-                symbols, entry_env, effects, self._optimistic_uninitialized
-            )
-        finally:
-            release()
-        if timing:
-            t2 = perf_counter()
-        result = self._assemble(
-            proc, skeleton.build, skeleton.ssa, outcome, record_exit_vars
-        )
-        if timing:
-            t3 = perf_counter()
-            PHASES.record(t1 - t0, t2 - t1, t3 - t2)
-        return result
-
-    def _assemble(
-        self,
-        proc: ast.Procedure,
-        build: CFGBuildResult,
-        ssa: SSAFunction,
-        solved: SolverQueries,
-        record_exit_vars: Optional[Set[str]],
-    ) -> IntraResult:
-        """Package solved state — either backend's — into an IntraResult."""
         detail = SCCDetail(
             build=build,
             ssa=ssa,
-            values=solved.values,
-            reached_blocks=solved.reached_blocks,
-            executable_edges=solved.executable_edges,
+            values=solver.values,
+            reached_blocks=solver.reached_blocks,
+            executable_edges=solver.executable_edges,
             visits={
-                "flow_edges": solved.flow_edge_visits,
-                "ssa_names": solved.ssa_name_visits,
-                "blocks_reached": len(solved.reached_blocks),
-                "lattice_cells": len(solved.values),
+                "flow_edges": solver.flow_edge_visits,
+                "ssa_names": solver.ssa_name_visits,
+                "blocks_reached": len(solver.reached_blocks),
+                "lattice_cells": len(solver.values),
             },
         )
         exit_values = None
         if record_exit_vars is not None:
-            exit_values = solved.exit_values(record_exit_vars)
+            exit_values = solver.exit_values(record_exit_vars)
         return IntraResult(
             proc_name=proc.name,
             engine=self.name,
-            call_sites=solved.collect_call_sites(),
-            return_value=solved.return_value(),
+            call_sites=solver.collect_call_sites(),
+            return_value=solver.return_value(),
             detail=detail,
             exit_values=exit_values,
         )
 
 
-class _Solver(SolverQueries):
+class _Solver:
     def __init__(
         self,
         ssa: SSAFunction,
@@ -269,12 +183,18 @@ class _Solver(SolverQueries):
 
     # ------------------------------------------------------------------
 
+    def _value(self, name: SSAName) -> LatticeValue:
+        return self.values.get(name, TOP)
+
     def _set_value(self, name: SSAName, new_value: LatticeValue) -> None:
         old = self._value(name)
         merged = meet(old, new_value)
         if merged != old:
             self.values[name] = merged
             self._ssa_work.append(name)
+
+    def _lookup_for(self, uses: Dict[str, SSAName]):
+        return lambda var: self._value(uses[var])
 
     def _visit_phi(self, phi: PhiNode) -> None:
         incoming = [
@@ -328,3 +248,73 @@ class _Solver(SolverQueries):
             else:
                 self._flow.append((block_id, term.false_target))
         # Ret contributes to return_value() after the fixpoint.
+
+    # ------------------------------------------------------------------
+    # Post-fixpoint queries.
+    # ------------------------------------------------------------------
+
+    def return_value(self) -> LatticeValue:
+        contributions: List[LatticeValue] = []
+        for block_id in self.reached_blocks:
+            term = self._cfg.blocks[block_id].terminator
+            if not isinstance(term, Ret):
+                continue
+            if term.expr is None:
+                contributions.append(BOTTOM)
+            else:
+                assert term.uses is not None
+                contributions.append(
+                    evaluate_expr(term.expr, self._lookup_for(term.uses))
+                )
+        return meet_all(contributions)
+
+    def exit_values(self, record_vars: Set[str]) -> Dict[str, LatticeValue]:
+        """Meet of each variable's reaching value over executable returns.
+
+        A variable whose value is the same constant at every executable
+        return point has that constant as its *exit value* — the quantity
+        the Section 3.2 extension propagates back to call sites.  TOP (no
+        executable return: the procedure never returns) demotes to BOTTOM.
+        """
+        values: Dict[str, LatticeValue] = {var: TOP for var in record_vars}
+        for block_id in self.reached_blocks:
+            term = self._cfg.blocks[block_id].terminator
+            if not isinstance(term, Ret) or term.reaching is None:
+                continue
+            for var in record_vars:
+                name = term.reaching.get(var)
+                if name is None:
+                    values[var] = BOTTOM
+                    continue
+                values[var] = meet(values[var], self._value(name))
+        return {
+            var: (BOTTOM if value.is_top else value)
+            for var, value in values.items()
+        }
+
+    def collect_call_sites(self) -> Dict[Tuple[str, int], CallSiteValues]:
+        result: Dict[Tuple[str, int], CallSiteValues] = {}
+        for block in self._cfg.blocks:
+            for instr in block.instrs:
+                if not isinstance(instr, CallInstr):
+                    continue
+                executable = block.id in self.reached_blocks
+                if executable:
+                    assert instr.uses is not None
+                    lookup = self._lookup_for(instr.uses)
+                    arg_values = [evaluate_expr(arg, lookup) for arg in instr.args]
+                    global_values = {
+                        g: self._value(name)
+                        for g, name in (instr.reaching_globals or {}).items()
+                        if g in self._effects.recorded_globals(instr.site)
+                    }
+                else:
+                    arg_values = [TOP for _ in instr.args]
+                    global_values = {}
+                result[site_key(instr.site)] = CallSiteValues(
+                    site=instr.site,
+                    executable=executable,
+                    arg_values=arg_values,
+                    global_values=global_values,
+                )
+        return result

@@ -1,6 +1,6 @@
 """Seeded random MiniF program generator.
 
-Produces *closed* (no inputs), *terminating*, *runtime-error-free* programs:
+Produces *closed* (no inputs) programs whose control flow is bounded:
 
 - the call graph is a DAG by construction (procedure ``i`` only calls
   procedures with larger indices), unless ``allow_recursion`` appends a
@@ -11,9 +11,20 @@ Produces *closed* (no inputs), *terminating*, *runtime-error-free* programs:
   promote variables assigned in *both* arms);
 - division and remainder only occur with non-zero literal divisors.
 
-These guarantees make the generator usable as a hypothesis workhorse: the
-reference interpreter executes every generated program to completion, so
-analysis claims can be checked against observed values without conditioning.
+Two things are *not* guaranteed:
+
+- **Running cleanly, or quickly.** Arithmetic is unconstrained, so a
+  program can overflow a float (the interpreter raises "floating-point
+  overflow") or an integer, and nested bounded loops times call fan-out
+  can run for more steps than a caller's budget.  With
+  ``GeneratorConfig(n_procs=10)`` and ``PYTHONHASHSEED=0``, 3 of seeds
+  0–59 raise floating-point overflow and 5 exceed 200 000 interpreter
+  steps.  Oracles that execute generated programs must treat a runtime
+  error or a step-limit hit as "no observation", not as a failure.
+- **The same program for a seed in every process.** Generation iterates
+  sets of names, so the text for a given seed depends on
+  ``PYTHONHASHSEED``.  Fix it when a corpus must be reproducible across
+  processes.
 """
 
 from __future__ import annotations
@@ -321,7 +332,7 @@ class _Generator:
                 op, self._gen_expr(ctx, depth - 1), self._gen_expr(ctx, depth - 1)
             )
         if roll < 0.85:
-            # Division by a non-zero literal keeps execution error-free.
+            # A non-zero literal divisor rules out division by zero.
             divisor = rng.choice([2, 3, 4, 5, 2.0])
             op = rng.choice(["/", "%"]) if isinstance(divisor, int) else "/"
             divisor_expr = (

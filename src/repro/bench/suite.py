@@ -572,106 +572,6 @@ def analyze_suite(
     )
 
 
-def compare_engine_phases(
-    names: Optional[Iterable[str]] = None,
-    config: "Optional[ICPConfig]" = None,
-    scale: int = 1,
-    repeats: int = 5,
-) -> Dict[str, object]:
-    """Per-phase (ssa/scc/solve) engine timing, ``graph`` vs ``flat``.
-
-    Runs the requested benchmarks through one warm
-    :class:`~repro.core.driver.CompilationPipeline` per backend, ``repeats``
-    times each, with the process-wide :data:`~repro.analysis.phases.PHASES`
-    clock enabled around the timed loop.  The run is forced serial with the
-    summary cache off: per-phase attribution is only meaningful when the
-    engine actually runs on one thread, and a cache hit would skip the
-    engine entirely.  Repeats on one pipeline are the sessions/serve
-    workload shape — the flat backend's skeleton cache amortizes
-    CFG/SSA/lowering across reruns, which is exactly the win being
-    measured; the graph oracle rebuilds from scratch every time.
-
-    The comparison is gated the same way every perf surface here is: the
-    two backends' rendered analysis reports must match byte-for-byte
-    (``reports_identical`` in the returned section; any offender is named
-    in ``mismatched``).
-    """
-    from collections.abc import Mapping
-
-    from repro.analysis.phases import PHASES
-    from repro.core.config import ICPConfig
-    from repro.core.driver import CompilationPipeline
-    from repro.core.report import analysis_report
-
-    if isinstance(config, Mapping):
-        config = ICPConfig.from_dict(config)
-    base = (config or ICPConfig()).to_dict()
-    base.update(workers=1, cache=False, store_dir=None, store_remote_url=None)
-
-    requested = list(dict.fromkeys(names)) if names is not None else list(SUITE)
-    profiles = {**SUITE, **RECURSION_SUITE}
-    unknown = sorted(set(requested) - set(profiles))
-    if unknown:
-        raise KeyError(f"unknown benchmarks: {unknown}; known: {sorted(profiles)}")
-    programs = {
-        name: build_benchmark(profiles[name], scale) for name in requested
-    }
-
-    sections: Dict[str, Dict[str, float]] = {}
-    reports: Dict[str, Dict[str, str]] = {}
-    for backend in ("graph", "flat"):
-        pipeline = CompilationPipeline(
-            ICPConfig.from_dict({**base, "engine_backend": backend})
-        )
-        PHASES.reset()
-        PHASES.enabled = True
-        try:
-            started = time.perf_counter()
-            for repeat in range(repeats):
-                for name in requested:
-                    result = pipeline.run(programs[name])
-                    if repeat == 0:
-                        reports.setdefault(backend, {})[name] = analysis_report(
-                            result
-                        )
-            wall = time.perf_counter() - started
-        finally:
-            PHASES.enabled = False
-        section = PHASES.snapshot()
-        section["wall_seconds"] = wall
-        sections[backend] = section
-
-    mismatched = [
-        name
-        for name in requested
-        if reports["graph"][name] != reports["flat"][name]
-    ]
-
-    def _ratio(numer: float, denom: float) -> float:
-        return numer / denom if denom > 0.0 else 0.0
-
-    graph, flat = sections["graph"], sections["flat"]
-    speedup = {
-        phase: _ratio(graph[phase], flat[phase])
-        for phase in ("ssa", "scc", "solve")
-    }
-    speedup["combined_ssa_scc"] = _ratio(
-        graph["ssa"] + graph["scc"], flat["ssa"] + flat["scc"]
-    )
-    speedup["wall"] = _ratio(graph["wall_seconds"], flat["wall_seconds"])
-    return {
-        "schema": "repro-icp/bench-phases/v1",
-        "scale": scale,
-        "repeats": repeats,
-        "names": requested,
-        "graph": graph,
-        "flat": flat,
-        "speedup": speedup,
-        "reports_identical": not mismatched,
-        "mismatched": mismatched,
-    }
-
-
 #: The twelve benchmarks of the paper's Tables 1 and 2, at roughly 1/8 scale.
 SUITE: Dict[str, BenchmarkProfile] = {}
 

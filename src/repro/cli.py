@@ -78,7 +78,6 @@ def _config_from(args: argparse.Namespace, **extra) -> ICPConfig:
         "propagate_returns": args.returns or args.exit_values,
         "propagate_exit_values": args.exit_values,
         "engine": args.engine,
-        "engine_backend": getattr(args, "engine_backend", "graph"),
         "context_mode": getattr(args, "context_mode", "carini-hind"),
         "context_max_per_proc": getattr(args, "context_max_per_proc", 64),
         "workers": args.jobs,
@@ -462,41 +461,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{run.tasks_run} -> {remote_warm.tasks_run}, "
             f"cached {remote_warm.tasks_cached}), {remote_verdict}"
         )
-    phases_section = None
-    if getattr(args, "phases", False):
-        from repro.bench.suite import compare_engine_phases
-
-        phases_section = compare_engine_phases(
-            names, config=config, scale=args.scale,
-            repeats=getattr(args, "phase_repeats", 5),
-        )
-        print(
-            f"{'phase':<10} {'graph(s)':>9} {'flat(s)':>9} {'speedup':>8}"
-        )
-        for phase in ("ssa", "scc", "solve"):
-            print(
-                f"{phase:<10} {phases_section['graph'][phase]:>9.4f} "
-                f"{phases_section['flat'][phase]:>9.4f} "
-                f"{phases_section['speedup'][phase]:>7.2f}x"
-            )
-        print(
-            f"{'ssa+scc':<10} "
-            f"{phases_section['graph']['ssa'] + phases_section['graph']['scc']:>9.4f} "
-            f"{phases_section['flat']['ssa'] + phases_section['flat']['scc']:>9.4f} "
-            f"{phases_section['speedup']['combined_ssa_scc']:>7.2f}x"
-        )
-        phases_verdict = (
-            "reports byte-identical"
-            if phases_section["reports_identical"]
-            else f"REPORT MISMATCH in {phases_section['mismatched']}"
-        )
-        print(
-            f"phases: {phases_section['repeats']} warm repeats, "
-            f"{phases_section['graph']['calls']:.0f} analyses/backend, "
-            f"wall {phases_section['graph']['wall_seconds']:.4f}s -> "
-            f"{phases_section['flat']['wall_seconds']:.4f}s "
-            f"({phases_section['speedup']['wall']:.2f}x), {phases_verdict}"
-        )
     contexts_section = None
     if getattr(args, "contexts", False):
         from repro.bench.suite import compare_context_modes
@@ -532,16 +496,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             remote_warm=remote_warm,
             remote_mismatched=remote_mismatched,
             contexts=contexts_section,
-            phases=phases_section,
         )
         print(f"bench results written to {args.json}", file=sys.stderr)
     if obs is not None:
         _emit_observability(args, obs, run.results.values())
     _cleanup()
-    phases_mismatch = phases_section is not None and not phases_section[
-        "reports_identical"
-    ]
-    return 1 if (mismatched or remote_mismatched or phases_mismatch) else 0
+    return 1 if (mismatched or remote_mismatched) else 0
 
 
 def _write_bench_json(
@@ -553,7 +513,6 @@ def _write_bench_json(
     remote_warm=None,
     remote_mismatched=(),
     contexts=None,
-    phases=None,
 ) -> None:
     """Machine-readable bench results (the per-PR perf trajectory record)."""
     import json
@@ -582,7 +541,6 @@ def _write_bench_json(
         "cache": bool(args.cache_stats),
         "scale": args.scale,
         "engine": args.engine,
-        "engine_backend": getattr(args, "engine_backend", "graph"),
         "totals": {
             "wall_seconds": sum(run.wall_seconds.values()),
             "tasks_run": run.tasks_run,
@@ -617,13 +575,10 @@ def _write_bench_json(
         }
     if contexts is not None:
         payload["contexts"] = contexts
-    if phases is not None:
-        payload["phases"] = phases
     try:
         # The serving benchmark (repro-icp loadgen) owns the "serve"
-        # section of the same file, --contexts owns "contexts", and
-        # --phases owns "phases"; a bench rewrite must not clobber
-        # sections it did not regenerate.
+        # section of the same file, and --contexts owns "contexts"; a
+        # bench rewrite must not clobber sections it did not regenerate.
         with open(path, "r", encoding="utf-8") as handle:
             existing = json.load(handle)
         if isinstance(existing, dict) and "serve" in existing:
@@ -634,12 +589,6 @@ def _write_bench_json(
             and "contexts" in existing
         ):
             payload["contexts"] = existing["contexts"]
-        if (
-            phases is None
-            and isinstance(existing, dict)
-            and "phases" in existing
-        ):
-            payload["phases"] = existing["phases"]
     except (OSError, ValueError):
         pass
     with open(path, "w", encoding="utf-8") as handle:
@@ -963,11 +912,6 @@ def _analysis_parent() -> argparse.ArgumentParser:
                              "formals and globals (implies --returns)")
     parent.add_argument("--engine", choices=("scc", "simple"), default="scc",
                         help="intraprocedural engine (default: scc)")
-    parent.add_argument("--engine-backend", choices=("graph", "flat"),
-                        default="graph", dest="engine_backend",
-                        help="SCC solve core: 'graph' (object-graph oracle) "
-                             "or 'flat' (slot-indexed arrays; byte-identical "
-                             "results, faster warm solves)")
     parent.add_argument("--context-mode",
                         choices=("carini-hind", "value-contexts"),
                         default="carini-hind", dest="context_mode",
@@ -1128,17 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the recursion-heavy profiles under both "
                             "context modes and report the precision/cost "
                             "comparison (added to --json as 'contexts')")
-    bench.add_argument("--phases", action="store_true",
-                       help="time the engine's ssa/scc/solve phases under "
-                            "both engine backends (graph vs flat), gated on "
-                            "byte-identical reports (added to --json as "
-                            "'phases')")
-    bench.add_argument("--phase-repeats", type=int, default=5,
-                       dest="phase_repeats", metavar="N",
-                       help="warm repeats per backend for --phases; repeats "
-                            "on one pipeline model the sessions/serve "
-                            "workload the skeleton cache amortizes "
-                            "(default: 5)")
     bench.set_defaults(func=_cmd_bench)
 
     serve = sub.add_parser(

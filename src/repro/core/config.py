@@ -25,14 +25,6 @@ class ICPConfig:
         Section 3.2 — and let the transformation exploit them after calls.
     :param engine: intraprocedural method: ``"scc"`` (Wegman–Zadeck, the
         paper's choice) or ``"simple"`` (plain iterative, for ablation).
-    :param engine_backend: implementation of the SCC engine's solve core:
-        ``"graph"`` (the object-graph reference path, the oracle) or
-        ``"flat"`` (the slot-indexed core: SSA names and CFG blocks are
-        numbered densely and the worklist fixpoint runs as tight loops
-        over preallocated int lists, with the lowered skeleton cached
-        per procedure).  Both backends must produce byte-identical
-        results; ``"flat"`` only changes wall-clock time.  Ignored by
-        ``engine="simple"``.
     :param context_mode: interprocedural propagation strategy:
         ``"carini-hind"`` (the paper's one-pass traversal, which degrades
         to the flow-insensitive solution on recursive call chains) or
@@ -138,7 +130,6 @@ class ICPConfig:
     propagate_returns: bool = False
     propagate_exit_values: bool = False
     engine: str = "scc"
-    engine_backend: str = "graph"
     context_mode: str = "carini-hind"
     context_max_per_proc: int = 64
     prune_dead_branches: bool = True
@@ -202,11 +193,6 @@ class ICPConfig:
         if config.engine not in ("scc", "simple"):
             raise ValueError(
                 f"engine must be 'scc' or 'simple', got {config.engine!r}"
-            )
-        if config.engine_backend not in ("graph", "flat"):
-            raise ValueError(
-                f"engine_backend must be 'graph' or 'flat', "
-                f"got {config.engine_backend!r}"
             )
         if config.context_mode not in ("carini-hind", "value-contexts"):
             raise ValueError(

@@ -19,12 +19,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
+from repro.analysis import make_engine
 from repro.analysis.transform import TransformResult, transform_program
 from repro.callgraph.pcg import PCG, build_pcg
 from repro.core.config import ICPConfig
 from repro.core.effects import SummaryEffects
 from repro.core.flow_insensitive import FIResult, flow_insensitive_icp
-from repro.core.flow_sensitive import FSResult, flow_sensitive_icp, make_engine
+from repro.core.flow_sensitive import FSResult, flow_sensitive_icp
 from repro.core.returns import ReturnsResult, compute_returns
 from repro.ir.lattice import BOTTOM, LatticeValue
 from repro.lang import ast
@@ -140,11 +141,6 @@ class CompilationPipeline:
         self.cache: Optional[SummaryCache] = cache_from_config(
             self.config, obs=self.obs
         )
-        #: The pipeline-owned intraprocedural engine, shared by every
-        #: :meth:`run`.  The flat backend keeps its lowered skeletons on the
-        #: engine, so a warm rerun (or the FI return fixpoint) skips
-        #: CFG/SSA construction for unchanged procedures.
-        self.engine = make_engine(self.config)
 
     def run(
         self,
@@ -225,7 +221,7 @@ class CompilationPipeline:
             "icp_fi",
             lambda: flow_insensitive_icp(program, symbols, pcg, modref, config),
         )
-        engine = self.engine
+        engine = make_engine(config.engine)
         try:
             fs = timed(
                 "icp_fs",

@@ -29,9 +29,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis import make_engine
 from repro.analysis.base import CallEffects, IntraEngine, IntraResult
-from repro.analysis.scc import SCCEngine
-from repro.analysis.simple import SimpleEngine
 from repro.callgraph.pcg import CallEdge, PCG
 from repro.core.config import ICPConfig
 from repro.core.effects import SummaryEffects
@@ -119,15 +118,6 @@ class FSReuse:
     clean: FrozenSet[str]
 
 
-def make_engine(config: ICPConfig) -> IntraEngine:
-    """Instantiate the configured intraprocedural engine."""
-    if config.engine == "scc":
-        return SCCEngine(backend=config.engine_backend)
-    if config.engine == "simple":
-        return SimpleEngine()
-    raise ValueError(f"unknown intraprocedural engine {config.engine!r}")
-
-
 def flow_sensitive_icp(
     program: ast.Program,
     symbols: Dict[str, ProcedureSymbols],
@@ -155,7 +145,7 @@ def flow_sensitive_icp(
     same-level procedures is by construction a fallback edge.
     """
     config = config or ICPConfig()
-    engine = engine or make_engine(config)
+    engine = engine or make_engine(config.engine)
 
     if config.context_mode == "value-contexts":
         # Value-context tabulation (Padhye & Khedker): per-entry-environment
@@ -266,7 +256,6 @@ def _scheduled_forward(
     clean: FrozenSet[str] = reuse.clean if reuse is not None else frozenset()
     config_fp = config_fingerprint(
         config.engine, config.propagate_floats, program.global_names, "fs",
-        config.engine_backend,
     )
     seconds_before = scheduler.stats.analysis_seconds
 
@@ -302,7 +291,6 @@ def _scheduled_forward(
                     entry_env=entry_env,
                     effects=effects,
                     engine=config.engine,
-                    engine_backend=config.engine_backend,
                     pass_label="fs",
                     fingerprints=fingerprints,
                 )

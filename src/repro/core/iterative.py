@@ -29,11 +29,11 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis import make_engine
 from repro.analysis.base import CallEffects, IntraEngine, IntraResult
 from repro.callgraph.pcg import PCG
 from repro.core.config import ICPConfig
 from repro.core.effects import SummaryEffects
-from repro.core.flow_sensitive import make_engine
 from repro.ir.lattice import BOTTOM, Const, LatticeValue, meet_all
 from repro.lang import ast
 from repro.lang.symbols import ProcedureSymbols
@@ -81,7 +81,7 @@ def iterative_flow_sensitive_icp(
         lattice guarantees convergence far below it.
     """
     config = config or ICPConfig()
-    engine = engine or make_engine(config)
+    engine = engine or make_engine(config.engine)
     effects = effects or SummaryEffects(modref, aliases)
     proc_map = program.procedure_map()
     limit = max_analyses or (8 * len(pcg.nodes) + 8)

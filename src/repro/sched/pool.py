@@ -15,9 +15,7 @@ import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
-from repro.analysis.base import IntraEngine
-from repro.analysis.scc import SCCEngine
-from repro.analysis.simple import SimpleEngine
+from repro.analysis import make_engine
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -50,16 +48,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def _make_intra_engine(name: str, backend: str = "graph") -> IntraEngine:
-    # Mirrors core.flow_sensitive.make_engine without importing repro.core
-    # (sched sits below core in the layering).
-    if name == "scc":
-        return SCCEngine(backend=backend)
-    if name == "simple":
-        return SimpleEngine()
-    raise ValueError(f"unknown intraprocedural engine {name!r}")
-
-
 def run_analysis_task(task):
     """Execute one :class:`~repro.sched.scheduler.AnalysisTask`.
 
@@ -67,7 +55,7 @@ def run_analysis_task(task):
     :class:`IntraResult` plus the seconds spent in the engine, which the
     scheduler accumulates into the pipeline's intra-analysis time.
     """
-    engine = _make_intra_engine(task.engine, getattr(task, "engine_backend", "graph"))
+    engine = make_engine(task.engine)
     record = set(task.record_exit_vars) if task.record_exit_vars is not None else None
     started = time.perf_counter()
     intra = engine.analyze(

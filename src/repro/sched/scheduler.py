@@ -45,9 +45,6 @@ class AnalysisTask:
     effects: CallEffects
     engine: str
     pass_label: str = "fs"
-    #: Solve-core implementation of the SCC engine (``"graph"`` or
-    #: ``"flat"``); ignored by the simple engine.
-    engine_backend: str = "graph"
     record_exit_vars: Optional[FrozenSet[str]] = None
     fingerprints: Tuple[str, ...] = ()
     #: Entry-environment fingerprint when the task is one *value context* of

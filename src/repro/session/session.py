@@ -28,16 +28,12 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Set, Union
 
+from repro.analysis import make_engine
 from repro.callgraph.pcg import build_pcg
 from repro.core.config import ICPConfig
 from repro.core.driver import CompilationPipeline, PipelineResult
 from repro.core.flow_insensitive import flow_insensitive_icp
-from repro.core.flow_sensitive import (
-    FSResult,
-    FSReuse,
-    flow_sensitive_icp,
-    make_engine,
-)
+from repro.core.flow_sensitive import FSResult, FSReuse, flow_sensitive_icp
 from repro.core.returns import ReturnsResult, compute_returns
 from repro.lang import ast
 from repro.lang.parser import parse_program
@@ -330,7 +326,7 @@ class AnalysisSession:
             )
 
         scheduler = Scheduler.from_config(config, cache=self.cache, obs=obs)
-        engine = make_engine(config)
+        engine = make_engine(config.engine)
         try:
             fs = timed(
                 "icp_fs",
