@@ -23,8 +23,8 @@ for the compatibility contract):
   store types themselves (:class:`SummaryStore`, :class:`PersistentCache`,
   :class:`RemoteStore`) re-export here for typing and direct construction.
 
-``analyze_program`` is the historical name of :func:`analyze` and remains a
-quiet alias here; importing it from ``repro.core.driver`` directly warns.
+``analyze_program`` is the historical name of :func:`analyze` and remains an
+alias here.
 """
 
 from typing import Mapping, Optional, Union
@@ -49,8 +49,7 @@ from repro.store import (
 )
 from repro.store.remote import DEFAULT_TIMEOUT_MS
 
-#: Backwards-compatible alias for :func:`analyze` (no deprecation warning
-#: through this module — the facade is the supported import path).
+#: Backwards-compatible alias for :func:`analyze`.
 analyze_program = analyze
 
 

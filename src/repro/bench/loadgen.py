@@ -132,8 +132,6 @@ def _http_request(
     path: str,
     body: Optional[Dict[str, Any]] = None,
 ) -> Tuple[int, Dict[str, Any]]:
-    # Loadgen speaks the current (versioned) surface; the unversioned
-    # aliases exist for old clients, not this one.
     data = json.dumps(body).encode("utf-8") if body is not None else None
     request = urllib.request.Request(
         base_url + "/v1" + path,

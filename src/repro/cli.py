@@ -17,15 +17,16 @@ Subcommands::
 A bare ``repro-icp FILE`` (no subcommand) is shorthand for
 ``repro-icp analyze FILE``.
 
-Analysis flags (shared by analyze/graph/optimize/bench/watch through one
-argparse parent) include ``--jobs N`` (wavefront-parallel analysis over N
-workers; 0 means all cores) and ``--cache-stats`` (enable the
-procedure-summary cache and print its hit/miss/invalidation counters).
-Observability flags: ``--trace OUT.json`` exports a Chrome
-``trace_event`` file (open in ``chrome://tracing`` or Perfetto),
-``--metrics-json OUT.json`` snapshots the unified metrics registry, and
-``--profile`` prints per-phase wall/CPU timings plus the hot-procedure
-table.
+Every flag that sets an :class:`ICPConfig` key (``--jobs``,
+``--no-floats``, ``--store-dir``, ``--port``, ...) is generated from that
+key's field: its type, choices, help and default.  The analysis flags are
+shared by analyze/check/graph/optimize/bench/serve/loadgen/watch through
+one argparse parent; ``--cache-stats`` also prints the summary cache's
+hit/miss/invalidation counters.  Observability flags: ``--trace
+OUT.json`` exports a Chrome ``trace_event`` file (open in
+``chrome://tracing`` or Perfetto), ``--metrics-json OUT.json`` snapshots
+the unified metrics registry, and ``--profile`` prints per-phase wall/CPU
+timings plus the hot-procedure table.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ import signal
 import sys
 import threading
 import time
-from typing import List, Optional
+from typing import List, Optional, Union, get_args, get_origin
 
 from repro.api import ICPConfig, analyze
+from repro.core.config import FIELDS, HINTS
 from repro.errors import ReproError
 from repro.interp import run_program
 from repro.lang.parser import parse_program
@@ -61,38 +63,15 @@ def _load(path: str):
     return parse_program(text)
 
 
-def _job_count(value: str) -> int:
-    count = int(value)
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = all cores), got {count}"
-        )
-    return count
-
-
 def _config_from(args: argparse.Namespace, **extra) -> ICPConfig:
-    # Funnel through the one validated construction path (from_dict), the
-    # same one sessions and bench harnesses use.
-    data = {
-        "propagate_floats": not args.no_floats,
-        "propagate_returns": args.returns or args.exit_values,
-        "propagate_exit_values": args.exit_values,
-        "engine": args.engine,
-        "context_mode": getattr(args, "context_mode", "carini-hind"),
-        "context_max_per_proc": getattr(args, "context_max_per_proc", 64),
-        "workers": args.jobs,
-        "cache": args.cache_stats,
-    }
-    if getattr(args, "store_dir", None):
-        data["store_dir"] = args.store_dir
-        data["store_max_bytes"] = args.store_max_bytes
-    if getattr(args, "store_remote_url", None):
-        data["store_remote_url"] = args.store_remote_url
-        data["store_remote_timeout_ms"] = args.store_remote_timeout_ms
-    if getattr(args, "store_codec", None):
-        data["store_codec"] = args.store_codec
-    data.update(extra)
-    return ICPConfig.from_dict(data)
+    """The config the parsed flags ask for, plus ``extra`` keys.
+
+    Config-backed flags store under their key and are absent unless given,
+    so every other key keeps its :class:`ICPConfig` default.  A bad value
+    raises :class:`~repro.errors.ConfigError`, which :func:`main` reports.
+    """
+    flags = {key: value for key, value in vars(args).items() if key in FIELDS}
+    return ICPConfig.from_dict({**flags, **extra})
 
 
 def _obs_from(args: argparse.Namespace) -> Optional[Observability]:
@@ -136,14 +115,15 @@ def _emit_observability(
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     obs = _obs_from(args)
-    result = analyze(_load(args.file), _config_from(args), obs=obs)
+    config = _config_from(args)
+    result = analyze(_load(args.file), config, obs=obs)
     if args.report:
         from repro.core.report import full_report
 
         print(full_report(result))
     else:
         print(result.summary())
-    if args.cache_stats and not args.report:
+    if config.cache and not args.report:
         from repro.core.report import scheduling_report
 
         print()
@@ -330,7 +310,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if tmp_store is not None:
             tmp_store.cleanup()
 
-    config = _config_from(args, **extra)
+    try:
+        config = _config_from(args, **extra)
+    except ReproError:
+        _cleanup()
+        raise
     try:
         run = analyze_suite(
             names, config, scale=args.scale, obs=obs,
@@ -490,6 +474,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _write_bench_json(
             args.json,
             args,
+            config,
             run,
             warm=warm,
             mismatched=mismatched,
@@ -507,6 +492,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _write_bench_json(
     path: str,
     args: argparse.Namespace,
+    config: ICPConfig,
     run,
     warm=None,
     mismatched=(),
@@ -536,11 +522,11 @@ def _write_bench_json(
             programs[name]["findings"] = run.findings.get(name, {})
     payload = {
         "schema": "repro-icp/bench/v1",
-        "workers": args.jobs,
-        "executor": "thread",
-        "cache": bool(args.cache_stats),
+        "workers": config.workers,
+        "executor": config.executor,
+        "cache": config.cache,
         "scale": args.scale,
-        "engine": args.engine,
+        "engine": config.engine,
         "totals": {
             "wall_seconds": sum(run.wall_seconds.values()),
             "tasks_run": run.tasks_run,
@@ -604,23 +590,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         run_shard_comparison,
     )
 
-    overrides = {"serve_max_sessions": args.max_sessions}
-    if args.clients is not None:
-        overrides["loadgen_clients"] = args.clients
-    if args.ops is not None:
-        overrides["loadgen_ops"] = args.ops
-    if args.programs is not None:
-        overrides["loadgen_programs"] = args.programs
-    if args.procs is not None:
-        overrides["loadgen_procs"] = args.procs
-    if args.seed is not None:
-        overrides["loadgen_seed"] = args.seed
-    try:
-        config = _config_from(args, **overrides)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
+    config = _config_from(args)
     if args.url:
         result = run_loadgen(
             args.url,
@@ -744,27 +714,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import create_server
 
-    try:
-        config = _config_from(
-            args,
-            serve_host=args.host,
-            serve_port=args.port,
-            serve_workers=args.serve_workers,
-            serve_max_queue=args.max_queue,
-            serve_timeout_seconds=args.request_timeout,
-            serve_max_sessions=args.max_sessions,
-            serve_shards=args.shards,
-            serve_rebalance=args.rebalance,
-            # The serving obs knobs: the server self-constructs its
-            # registry/tracer/logger from these (each shard its own).
-            serve_metrics=not args.no_metrics,
-            serve_trace=bool(args.trace),
-            serve_log_enabled=not args.quiet,
-            serve_log_slow_ms=args.slow_ms,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    # The server self-constructs its registry, tracer and logger from the
+    # serve_* keys (each shard its own); --trace also turns tracing on.
+    config = _config_from(args, serve_trace=bool(args.trace))
     server = create_server(config)
     host, port = server.start()
     store_note = f", store {config.store_dir}" if config.store_dir else ""
@@ -835,25 +787,9 @@ def _cmd_summary_server(args: argparse.Namespace) -> int:
     """Run the fleet-shared summary service until interrupted."""
     from repro.store.service import SummaryService
 
-    try:
-        config = ICPConfig.from_dict(
-            {
-                "store_dir": args.store_dir,
-                "store_max_bytes": args.store_max_bytes,
-                "serve_host": args.host,
-                "serve_port": args.port,
-                "serve_metrics": not args.no_metrics,
-                "serve_log_enabled": not args.quiet,
-                "serve_log_slow_ms": args.slow_ms,
-            }
-        )
-        compact = (
-            None if args.compact_interval <= 0 else args.compact_interval
-        )
-        server = SummaryService(config, compact_interval=compact)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    config = _config_from(args)
+    compact = None if args.compact_interval <= 0 else args.compact_interval
+    server = SummaryService(config, compact_interval=compact)
     host, port = server.start()
     stats = server.blobs.stats
     print(
@@ -900,60 +836,73 @@ def _cmd_top(args: argparse.Namespace) -> int:
     )
 
 
+#: Config-backed flags not spelled ``--<key-with-dashes>``.
+_FLAG_NAMES = {
+    "propagate_floats": "--no-floats",
+    "propagate_returns": "--returns",
+    "propagate_exit_values": "--exit-values",
+    "workers": "--jobs",
+    "cache": "--cache-stats",
+    "serve_host": "--host",
+    "serve_port": "--port",
+    "serve_max_queue": "--max-queue",
+    "serve_timeout_seconds": "--request-timeout",
+    "serve_max_sessions": "--max-sessions",
+    "serve_shards": "--shards",
+    "serve_rebalance": "--rebalance",
+    "serve_metrics": "--no-metrics",
+    "serve_log_enabled": "--quiet",
+    "serve_log_slow_ms": "--slow-ms",
+    "loadgen_clients": "--clients",
+    "loadgen_ops": "--ops",
+    "loadgen_programs": "--programs",
+    "loadgen_procs": "--procs",
+    "loadgen_seed": "--seed",
+}
+
+
+def _config_flag(parser: argparse.ArgumentParser, key: str, default=None,
+                 **kwargs) -> None:
+    """Add the flag that sets config key ``key``.
+
+    Type, choices, help and the shown default come from the
+    :class:`ICPConfig` field.  An absent flag leaves the key out of the
+    namespace (so to ``ICPConfig``) unless this subcommand passes its own
+    ``default``.  A bool key gets a switch that flips its default.
+    """
+    spec = FIELDS[key]
+    flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+    help_text = spec.metadata["help"]
+    kind = HINTS[key]
+    if kind is bool:
+        parser.add_argument(
+            flag, dest=key, default=argparse.SUPPRESS,
+            action="store_false" if spec.default else "store_true",
+            help=("turn off: " if spec.default else "turn on: ") + help_text,
+        )
+        return
+    if get_origin(kind) is Union:  # Optional[X]: the flag takes an X
+        kind = get_args(kind)[0]
+    shown = spec.default if default is None else default
+    if shown is not None:
+        help_text += f" (default: {shown})"
+    parser.add_argument(
+        flag, dest=key, type=kind, choices=spec.metadata.get("choices"),
+        default=argparse.SUPPRESS if default is None else default,
+        help=help_text, **kwargs,
+    )
+
+
 def _analysis_parent() -> argparse.ArgumentParser:
     """The analysis flags every analyzing subcommand shares."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--no-floats", action="store_true",
-                        help="disable floating-point constant propagation")
-    parent.add_argument("--returns", action="store_true",
-                        help="enable the return-constant extension")
-    parent.add_argument("--exit-values", action="store_true",
-                        help="also propagate constant exit values of modified "
-                             "formals and globals (implies --returns)")
-    parent.add_argument("--engine", choices=("scc", "simple"), default="scc",
-                        help="intraprocedural engine (default: scc)")
-    parent.add_argument("--context-mode",
-                        choices=("carini-hind", "value-contexts"),
-                        default="carini-hind", dest="context_mode",
-                        help="interprocedural strategy: the paper's one-pass "
-                             "traversal (default) or value-context "
-                             "tabulation, which resolves recursion with "
-                             "per-entry-environment summaries instead of "
-                             "the FI fallback")
-    parent.add_argument("--context-max-per-proc", type=int, default=64,
-                        metavar="N", dest="context_max_per_proc",
-                        help="value-contexts blowup guard: beyond N tabulated "
-                             "entry environments a procedure degrades to one "
-                             "widened FI-seeded context (default: 64)")
-    parent.add_argument("--jobs", type=_job_count, default=1, metavar="N",
-                        help="worker pool size for wavefront-parallel "
-                             "analysis (default: 1 = serial; 0 = all cores)")
-    parent.add_argument("--cache-stats", action="store_true",
-                        help="enable the procedure-summary cache and report "
-                             "its hit/miss/invalidation counters")
-    parent.add_argument("--store-dir", metavar="DIR", default=None,
-                        help="back the summary cache with a persistent "
-                             "on-disk store under DIR (implies caching); "
-                             "summaries survive across runs")
-    parent.add_argument("--store-max-bytes", type=int,
-                        default=64 * 1024 * 1024, metavar="N",
-                        help="size budget of the persistent store; LRU "
-                             "entries are evicted beyond it (default: 64MiB)")
-    parent.add_argument("--store-remote-url", metavar="URL", default=None,
-                        dest="store_remote_url",
-                        help="fleet-shared summary tier: a repro-icp "
-                             "summary-server base URL behind the local "
-                             "--store-dir tier (misses fetch from it, "
-                             "writes replicate to it, outages fail open)")
-    parent.add_argument("--store-remote-timeout-ms", type=int, default=250,
-                        metavar="MS", dest="store_remote_timeout_ms",
-                        help="per-request budget for the remote summary "
-                             "tier; past it the request reads as a miss "
-                             "(default: 250)")
-    parent.add_argument("--store-codec", choices=("json", "binary"),
-                        default=None, dest="store_codec",
-                        help="entry encoding for new store writes; either "
-                             "codec reads both (default: json)")
+    for key in (
+        "propagate_floats", "propagate_returns", "propagate_exit_values",
+        "engine", "context_mode", "context_max_per_proc", "workers", "cache",
+        "store_dir", "store_max_bytes", "store_remote_url",
+        "store_remote_timeout_ms",
+    ):
+        _config_flag(parent, key)
     return parent
 
 
@@ -1078,48 +1027,17 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", parents=[common, obs_flags],
         help="run the analysis daemon (JSON over HTTP)",
     )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8100,
-                       help="bind port; 0 picks a free one (default: 8100)")
-    serve.add_argument("--serve-workers", type=int, default=2, metavar="N",
-                       dest="serve_workers",
-                       help="analysis worker threads (default: 2)")
-    serve.add_argument("--max-queue", type=int, default=8, metavar="N",
-                       dest="max_queue",
-                       help="admitted-but-unfinished request bound; beyond "
-                            "it requests get 503 + Retry-After (default: 8)")
-    serve.add_argument("--request-timeout", type=float, default=10.0,
-                       metavar="SECONDS", dest="request_timeout",
-                       help="per-request deadline; analyze requests beyond "
-                            "it degrade to the FI solution (default: 10)")
-    serve.add_argument("--max-sessions", type=int, default=32, metavar="N",
-                       dest="max_sessions",
-                       help="resident program sessions before LRU eviction "
-                            "(default: 32)")
+    for key in (
+        "serve_host", "serve_port", "serve_workers", "serve_max_queue",
+        "serve_timeout_seconds", "serve_max_sessions", "serve_shards",
+        "serve_rebalance", "serve_log_enabled", "serve_metrics",
+        "serve_log_slow_ms",
+    ):
+        _config_flag(serve, key)
     serve.add_argument("--max-seconds", type=float, default=0, metavar="S",
                        dest="max_seconds",
                        help="exit after S seconds (default: 0 = until ^C); "
                             "for smoke tests and CI")
-    serve.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="shard the daemon across N worker processes "
-                            "behind a consistent-hash router; shards share "
-                            "the --store-dir store (default: 0 = single "
-                            "process)")
-    serve.add_argument("--rebalance", type=float, default=0.5,
-                       metavar="SECONDS",
-                       help="router health-sweep interval; a dead shard is "
-                            "respawned within roughly this many seconds "
-                            "(default: 0.5)")
-    serve.add_argument("--quiet", action="store_true",
-                       help="silence the structured JSON access log "
-                            "(the /debug/last ring keeps filling)")
-    serve.add_argument("--no-metrics", action="store_true", dest="no_metrics",
-                       help="disable the metrics registry and GET /metrics")
-    serve.add_argument("--slow-ms", type=float, default=500.0, metavar="MS",
-                       dest="slow_ms",
-                       help="access-log lines for requests slower than MS "
-                            "are logged at warning level (default: 500)")
     serve.set_defaults(func=_cmd_serve)
 
     summary = sub.add_parser(
@@ -1127,17 +1045,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fleet-shared summary service (content-addressed "
              "GET/PUT/HEAD over /v1/summaries/<key>)",
     )
-    summary.add_argument("--store-dir", metavar="DIR", required=True,
-                         help="directory holding the served summary blobs")
-    summary.add_argument("--store-max-bytes", type=int,
-                         default=64 * 1024 * 1024, metavar="N",
-                         help="size budget; LRU entries are evicted beyond "
-                              "it (default: 64MiB)")
-    summary.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default: 127.0.0.1)")
-    summary.add_argument("--port", type=int, default=8200,
-                         help="bind port; 0 picks a free one "
-                              "(default: 8200)")
+    _config_flag(summary, "store_dir", required=True)
+    _config_flag(summary, "serve_port", default=8200)
+    for key in ("store_max_bytes", "serve_host", "serve_log_enabled",
+                "serve_metrics", "serve_log_slow_ms"):
+        _config_flag(summary, key)
     summary.add_argument("--compact-interval", type=float, default=30.0,
                          metavar="SECONDS", dest="compact_interval",
                          help="background compaction period folding sibling "
@@ -1147,16 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="max_seconds",
                          help="exit after S seconds (default: 0 = until "
                               "^C); for smoke tests and CI")
-    summary.add_argument("--quiet", action="store_true",
-                         help="silence the structured JSON access log")
-    summary.add_argument("--no-metrics", action="store_true",
-                         dest="no_metrics",
-                         help="disable the metrics registry and "
-                              "GET /v1/metrics")
-    summary.add_argument("--slow-ms", type=float, default=500.0, metavar="MS",
-                         dest="slow_ms",
-                         help="access-log lines for requests slower than MS "
-                              "are logged at warning level (default: 500)")
     summary.set_defaults(func=_cmd_summary_server)
 
     top = sub.add_parser(
@@ -1181,28 +1083,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive a serve deployment with concurrent mixed traffic and "
              "record p50/p99 latency + saturation throughput",
     )
-    loadgen.add_argument("--clients", type=int, default=None, metavar="N",
-                         help="concurrent client threads (default: 8)")
-    loadgen.add_argument("--ops", type=int, default=None, metavar="N",
-                         help="total operations across clients "
-                              "(default: 400)")
-    loadgen.add_argument("--programs", type=int, default=None, metavar="N",
-                         help="distinct programs in the working set "
-                              "(default: 20)")
-    loadgen.add_argument("--procs", type=int, default=None, metavar="N",
-                         help="procedures per generated program "
-                              "(default: 20)")
-    loadgen.add_argument("--seed", type=int, default=None, metavar="N",
-                         help="corpus/traffic RNG seed (default: 0)")
+    for key in ("loadgen_clients", "loadgen_ops", "loadgen_programs",
+                "loadgen_procs", "loadgen_seed"):
+        _config_flag(loadgen, key)
+    # Fewer resident sessions than programs: the capacity-pressure knob.
+    _config_flag(loadgen, "serve_max_sessions", default=7)
     loadgen.add_argument("--shards", default="1,4", metavar="LIST",
                          help="comma list of shard counts to boot and "
                               "compare; 1 = single-process daemon "
                               "(default: 1,4)")
-    loadgen.add_argument("--max-sessions", type=int, default=7, metavar="N",
-                         dest="max_sessions",
-                         help="resident sessions per serving process; the "
-                              "workload's capacity-pressure knob "
-                              "(default: 7)")
     loadgen.add_argument("--url", metavar="URL",
                          help="drive an already-running daemon at URL "
                               "instead of booting deployments")
@@ -1239,10 +1128,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
+    except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -17,8 +17,7 @@ from repro.core.cloning import CloningResult, clone_for_constants
 from repro.core.config import ICPConfig
 from repro.core.driver import CompilationPipeline, PipelineResult, analyze
 
-#: Historical name; kept importable from here without a warning (importing
-#: it from ``repro.core.driver`` itself is what deprecates).
+#: Historical name of :func:`analyze`, kept importable from here.
 analyze_program = analyze
 from repro.core.flow_insensitive import FIResult, flow_insensitive_icp
 from repro.core.flow_sensitive import FSResult, flow_sensitive_icp

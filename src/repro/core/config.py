@@ -1,186 +1,246 @@
-"""Configuration for the interprocedural constant propagation pipeline."""
+"""Configuration for the interprocedural constant propagation pipeline.
+
+:class:`ICPConfig` is the one table of configuration keys.  Each field
+declares its default once, and its metadata carries the key's help text
+and allowed values: ``choices``, or numeric bounds ``min`` / ``max``
+(inclusive) and ``above`` (exclusive).  :meth:`ICPConfig.from_dict`
+validation, the config-backed ``repro-icp`` flags and the key table in
+docs/API.md are all derived from these fields.
+"""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import (
+    Any,
+    Dict,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
+from repro.errors import ConfigError
 from repro.ir.lattice import BOTTOM, LatticeValue
+
+
+def _key(default: Any, help: str, **allowed: Any) -> Any:
+    """One config key: its default, help text and allowed values."""
+    return field(default=default, metadata={"help": help, **allowed})
 
 
 @dataclass(frozen=True)
 class ICPConfig:
     """Knobs of the ICP pipeline, mirroring the paper's options.
 
-    :param propagate_floats: the paper's optional floating-point constant
-        propagation (Section 4).  When False, floating-point constants are
-        demoted to BOTTOM at every *interprocedural* boundary (argument
-        recording, global recording, block-data collection); intraprocedural
-        folding is unaffected.  Tables 3–5 of the paper run with this off.
-    :param propagate_returns: enable the Section 3.2 return-constant
-        extension (one extra reverse traversal; off in all paper tables).
-    :param propagate_exit_values: with ``propagate_returns``, also compute
-        each procedure's constant *exit values* for modified formals and
-        globals — the full "returned constant parameters and globals" of
-        Section 3.2 — and let the transformation exploit them after calls.
-    :param engine: intraprocedural method: ``"scc"`` (Wegman–Zadeck, the
-        paper's choice) or ``"simple"`` (plain iterative, for ablation).
-    :param context_mode: interprocedural propagation strategy:
-        ``"carini-hind"`` (the paper's one-pass traversal, which degrades
-        to the flow-insensitive solution on recursive call chains) or
-        ``"value-contexts"`` (Padhye–Khedker tabulation keyed by the
-        callee's abstract entry environment, giving recursion genuine
-        per-context answers instead of the FI fallback).
-    :param context_max_per_proc: blowup guard of ``"value-contexts"``
-        mode: the maximum distinct entry environments tabulated per
-        procedure.  Beyond it the procedure degrades to a single widened
-        context seeded from the flow-insensitive fallback (the
-        carini-hind answer), counted in the report rather than
-        diverging.
-    :param prune_dead_branches: let the transformation delete branches decided
-        by constants.
-    :param insert_entry_assignments: make the transformation also materialize
-        ``v = c;`` assignments at procedure entry (the paper's description of
-        how constants are propagated into a procedure).
-    :param allow_missing: tolerate calls to procedures that are not in the
-        program (treated maximally conservatively), the paper's "missing
-        procedures" provision.
-    :param entry: name of the root procedure.
-    :param workers: worker count for the wavefront scheduler.  ``1`` (the
-        default) analyzes serially; ``0`` uses every CPU core; ``N > 1``
-        dispatches each PCG wavefront level to ``N`` workers.
-    :param executor: worker pool flavor, ``"thread"`` (default) or
-        ``"process"`` (opt-in, pays per-task pickling).
-    :param cache: memoize per-procedure intraprocedural results in a
-        content-addressed summary cache, so re-running the pipeline over an
-        unchanged procedure skips its re-analysis entirely.
-    :param store_dir: directory of the persistent summary store.  When set,
-        the summary cache gains a crash-safe on-disk backing tier (implies
-        ``cache``): summaries survive process restarts, and a warm rerun —
-        or a restarted ``repro-icp serve`` daemon — reuses them.
-    :param store_max_bytes: size budget of the persistent store; inserts
-        evict least-recently-used entries beyond it.
-    :param store_remote_url: base URL of a ``repro-icp summary-server``
-        (e.g. ``http://10.0.0.5:8200``).  When set (requires
-        ``store_dir``), the persistent store gains a third, fleet-shared
-        tier: local misses are fetched from the remote service and
-        promoted to disk, and local writes are replicated to it.  Every
-        network error fails open to the local tiers.
-    :param store_remote_timeout_ms: per-request deadline of the remote
-        summary tier, in milliseconds.  After an error the client backs
-        off briefly, so an unreachable service costs at most one timeout
-        per cooldown window rather than one per lookup.
-    :param store_codec: on-disk/wire encoding of store entries:
-        ``"json"`` (the default, human-inspectable) or ``"binary"`` (the
-        length-prefixed struct codec — cheaper to decode on the
-        warm-start hot path).  Reads always sniff the entry header, so
-        either codec reads stores written by the other.
-    :param serve_host: bind address of the ``repro-icp serve`` daemon.
-    :param serve_port: bind port of the daemon (0 picks a free port).
-    :param serve_workers: analysis worker threads the daemon runs.
-    :param serve_max_queue: admitted-but-unfinished request bound; beyond
-        it the daemon answers HTTP 503 with ``Retry-After`` (backpressure).
-    :param serve_timeout_seconds: default per-request deadline; an analyze
-        request that exceeds it degrades to the flow-insensitive solution.
-    :param serve_max_sessions: resident :class:`AnalysisSession` bound;
-        beyond it the least-recently-used program's session is dropped.
-    :param serve_shards: worker *processes* behind the serve front router.
-        ``0`` (the default) keeps the single-process daemon; ``N >= 1``
-        spawns N shard processes that consistent-hash program ids and
-        coordinate only through the shared persistent store.
-    :param serve_rebalance: seconds between the router's shard health
-        sweeps; a shard found dead is respawned (and warm-starts from the
-        store) within roughly this interval.
-    :param serve_metrics: keep a live metrics registry in every serving
-        process and expose it at ``GET /metrics`` (Prometheus text; the
-        router aggregates its shards under per-shard labels).  Off, the
-        endpoint answers 404 and instrumentation costs one boolean check.
-    :param serve_trace: keep a live span tracer in every serving process
-        and expose its buffered events at ``GET /debug/trace`` (the
-        router merges shard traces into one Chrome export).  A debugging
-        mode: buffers grow with traffic, so leave it off in production.
-    :param trace_propagate: mint a request id per request, honor incoming
-        ``X-Repro-Request-Id``/``X-Repro-Trace`` headers, propagate them
-        router → shard, and echo the id on every response (error paths
-        included).  Off, requests carry no identity at all.
-    :param serve_log_enabled: emit one structured JSON access-log line
-        per request to stderr and keep the ``/debug/last`` ring
-        (``repro-icp serve --quiet`` turns this off).
-    :param serve_log_slow_ms: requests slower than this log at
-        ``warning`` severity with ``"slow": true``.
-    :param serve_log_ring: entries retained for ``GET /debug/last``.
-    :param loadgen_clients: concurrent client threads ``repro-icp
-        loadgen`` drives against the daemon.
-    :param loadgen_ops: total operations the load generator issues across
-        all of its clients.
-    :param loadgen_programs: distinct programs in the load generator's
-        working set (its session-pool pressure knob).
-    :param loadgen_procs: procedures per generated loadgen program; sizes
-        the cost of a cold load relative to a warm query.
-    :param loadgen_seed: RNG seed of the generated loadgen corpus, edit
-        scripts, and traffic mix.
-    :param diag_rules: rule IDs the diagnostics engine should run (``None``
-        enables every rule; see ``repro.diag.findings.RULES``).
-    :param diag_severity_floor: weakest finding severity to report
-        (``"note"``, ``"warning"``, or ``"error"``).
-    :param diag_sarif: default the ``check`` command's output to SARIF.
+    Every field is one key; see its ``help`` metadata (or the key table in
+    docs/API.md) for what it does.
     """
 
-    propagate_floats: bool = True
-    propagate_returns: bool = False
-    propagate_exit_values: bool = False
-    engine: str = "scc"
-    context_mode: str = "carini-hind"
-    context_max_per_proc: int = 64
-    prune_dead_branches: bool = True
-    insert_entry_assignments: bool = False
-    allow_missing: bool = False
-    entry: str = "main"
-    workers: int = 1
-    executor: str = "thread"
-    cache: bool = False
-    store_dir: Optional[str] = None
-    store_max_bytes: int = 64 * 1024 * 1024
-    store_remote_url: Optional[str] = None
-    store_remote_timeout_ms: int = 250
-    store_codec: str = "json"
-    serve_host: str = "127.0.0.1"
-    serve_port: int = 8100
-    serve_workers: int = 2
-    serve_max_queue: int = 8
-    serve_timeout_seconds: float = 10.0
-    serve_max_sessions: int = 32
-    serve_shards: int = 0
-    serve_rebalance: float = 0.5
-    serve_metrics: bool = True
-    serve_trace: bool = False
-    trace_propagate: bool = True
-    serve_log_enabled: bool = True
-    serve_log_slow_ms: float = 500.0
-    serve_log_ring: int = 256
-    loadgen_clients: int = 8
-    loadgen_ops: int = 400
-    loadgen_programs: int = 20
-    loadgen_procs: int = 20
-    loadgen_seed: int = 0
-    diag_rules: Optional[Tuple[str, ...]] = None
-    diag_severity_floor: str = "note"
-    diag_sarif: bool = False
+    propagate_floats: bool = _key(
+        True,
+        "the paper's optional floating-point constant propagation "
+        "(Section 4); off, float constants become BOTTOM at every "
+        "interprocedural boundary (Tables 3-5 run with it off)",
+    )
+    propagate_returns: bool = _key(
+        False,
+        "the Section 3.2 return-constant extension: one extra reverse "
+        "traversal (off in all paper tables)",
+    )
+    propagate_exit_values: bool = _key(
+        False,
+        "also compute each procedure's constant exit values for modified "
+        "formals and globals and use them after calls (runs the "
+        "return extension too)",
+    )
+    engine: str = _key(
+        "scc",
+        "intraprocedural method: scc (Wegman-Zadeck, the paper's choice) "
+        "or simple (plain iterative, for ablation)",
+        choices=("scc", "simple"),
+    )
+    context_mode: str = _key(
+        "carini-hind",
+        "interprocedural strategy: carini-hind (the paper's one-pass "
+        "traversal, with the flow-insensitive fallback on recursion) or "
+        "value-contexts (tabulation keyed by the callee's abstract entry "
+        "environment)",
+        choices=("carini-hind", "value-contexts"),
+    )
+    context_max_per_proc: int = _key(
+        64,
+        "value-contexts blowup guard: beyond this many entry environments "
+        "a procedure degrades to one widened context seeded from the "
+        "flow-insensitive answer",
+        min=1,
+    )
+    prune_dead_branches: bool = _key(
+        True, "let the transformation delete branches decided by constants"
+    )
+    insert_entry_assignments: bool = _key(
+        False,
+        "make the transformation also materialize 'v = c;' assignments "
+        "at procedure entry",
+    )
+    allow_missing: bool = _key(
+        False,
+        "tolerate calls to procedures missing from the program (treated "
+        "maximally conservatively)",
+    )
+    entry: str = _key("main", "name of the root procedure")
+    workers: int = _key(
+        1,
+        "wavefront scheduler workers: 1 analyzes serially, 0 uses every "
+        "CPU core, N > 1 runs each call-graph level on N workers",
+        min=0,
+    )
+    executor: str = _key(
+        "thread",
+        "worker pool flavor (process pays per-task pickling)",
+        choices=("thread", "process"),
+    )
+    cache: bool = _key(
+        False,
+        "memoize per-procedure results in a content-addressed summary "
+        "cache, so an unchanged procedure is not re-analyzed",
+    )
+    store_dir: Optional[str] = _key(
+        None,
+        "directory of the crash-safe on-disk summary store (implies "
+        "cache); summaries survive process restarts",
+    )
+    store_max_bytes: int = _key(
+        64 * 1024 * 1024,
+        "size budget of the on-disk store; inserts evict least-recently-"
+        "used entries beyond it",
+        min=1,
+    )
+    store_remote_url: Optional[str] = _key(
+        None,
+        "http(s) base URL of a repro-icp summary-server, a fleet-shared "
+        "tier behind store_dir (which it requires): misses fetch from it, "
+        "writes replicate to it, outages fail open",
+    )
+    store_remote_timeout_ms: int = _key(
+        250,
+        "per-request deadline of the remote tier in milliseconds; past "
+        "it the lookup reads as a miss",
+        min=1,
+    )
+    serve_host: str = _key("127.0.0.1", "bind address of the serving daemon")
+    serve_port: int = _key(
+        8100, "bind port of the serving daemon (0 picks a free one)",
+        min=0, max=65535,
+    )
+    serve_workers: int = _key(2, "analysis worker threads of the daemon", min=1)
+    serve_max_queue: int = _key(
+        8,
+        "admitted-but-unfinished request bound; beyond it requests get "
+        "HTTP 503 with Retry-After",
+        min=1,
+    )
+    serve_timeout_seconds: float = _key(
+        10.0,
+        "default per-request deadline; an analyze request that exceeds it "
+        "degrades to the flow-insensitive solution",
+        above=0,
+    )
+    serve_max_sessions: int = _key(
+        32,
+        "resident analysis sessions; beyond it the least-recently-used "
+        "program's session is dropped",
+        min=1,
+    )
+    serve_shards: int = _key(
+        0,
+        "worker processes behind a consistent-hash router; 0 keeps the "
+        "single-process daemon",
+        min=0,
+    )
+    serve_rebalance: float = _key(
+        0.5,
+        "seconds between the router's shard health sweeps; a dead shard "
+        "is respawned within roughly this interval",
+        above=0,
+    )
+    serve_metrics: bool = _key(
+        True,
+        "keep a metrics registry in every serving process and expose it "
+        "at GET /v1/metrics (off, the endpoint answers 404)",
+    )
+    serve_trace: bool = _key(
+        False,
+        "keep a span tracer in every serving process and export it at "
+        "GET /v1/debug/trace (buffers grow with traffic)",
+    )
+    trace_propagate: bool = _key(
+        True,
+        "mint or honor a request id per request, propagate it router to "
+        "shard, and echo it on every response",
+    )
+    serve_log_enabled: bool = _key(
+        True,
+        "write one JSON access-log line per request to stderr and keep "
+        "the GET /v1/debug/last ring",
+    )
+    serve_log_slow_ms: float = _key(
+        500.0,
+        "requests at least this slow (ms) log at warning severity",
+        min=0,
+    )
+    serve_log_ring: int = _key(
+        256, "access-log entries retained for GET /v1/debug/last", min=1
+    )
+    loadgen_clients: int = _key(
+        8, "concurrent client threads of repro-icp loadgen", min=1
+    )
+    loadgen_ops: int = _key(
+        400, "total operations loadgen issues across its clients", min=1
+    )
+    loadgen_programs: int = _key(
+        20, "distinct programs in loadgen's working set", min=1
+    )
+    loadgen_procs: int = _key(
+        20,
+        "procedures per generated loadgen program; sizes a cold load "
+        "against a warm query",
+        min=1,
+    )
+    loadgen_seed: int = _key(
+        0, "seed of loadgen's generated corpus, edit scripts and traffic mix"
+    )
+    diag_rules: Optional[Tuple[str, ...]] = _key(
+        None,
+        "rule IDs the diagnostics engine runs (None runs every rule in "
+        "repro.diag.findings.RULES)",
+    )
+    diag_severity_floor: str = _key(
+        "note",
+        "weakest finding severity to report: note, warning or error",
+    )
+    diag_sarif: bool = _key(
+        False, "default the check command's output format to SARIF"
+    )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ICPConfig":
         """Build a validated config from a plain mapping.
 
         The one construction path shared by the CLI, ``bench.suite``, and
-        analysis sessions.  Unknown keys raise ``ValueError`` (catching
-        typos like ``worker`` early), as do out-of-domain values for the
-        enumerated knobs.
+        analysis sessions.  Unknown keys raise
+        :class:`~repro.errors.ConfigError` (a ``ValueError``), catching
+        typos like ``worker`` early, as does any value that does not fit
+        its field's type and allowed values.  Omitted keys take the field
+        defaults.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(FIELDS))
         if unknown:
-            raise ValueError(
-                f"unknown ICPConfig keys: {unknown}; known keys: {sorted(known)}"
+            raise ConfigError(
+                f"unknown ICPConfig keys: {unknown}; known keys: {sorted(FIELDS)}"
             )
         normalized = dict(data)
         if isinstance(normalized.get("diag_rules"), (list, tuple)):
@@ -189,184 +249,34 @@ class ICPConfig:
             normalized["diag_rules"] = tuple(
                 sorted(set(normalized["diag_rules"]))
             )
+        for name, value in normalized.items():
+            _check(name, value)
         config = cls(**normalized)
-        if config.engine not in ("scc", "simple"):
-            raise ValueError(
-                f"engine must be 'scc' or 'simple', got {config.engine!r}"
-            )
-        if config.context_mode not in ("carini-hind", "value-contexts"):
-            raise ValueError(
-                f"context_mode must be 'carini-hind' or 'value-contexts', "
-                f"got {config.context_mode!r}"
-            )
-        if (
-            not isinstance(config.context_max_per_proc, int)
-            or isinstance(config.context_max_per_proc, bool)
-            or config.context_max_per_proc < 1
-        ):
-            raise ValueError(
-                f"context_max_per_proc must be an int >= 1, "
-                f"got {config.context_max_per_proc!r}"
-            )
-        if config.executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {config.executor!r}"
-            )
-        if not isinstance(config.workers, int) or config.workers < 0:
-            raise ValueError(
-                f"workers must be an int >= 0 (0 = all cores), "
-                f"got {config.workers!r}"
-            )
-        if not config.entry or not isinstance(config.entry, str):
-            raise ValueError(f"entry must be a procedure name, got {config.entry!r}")
-        if config.store_dir is not None and (
-            not isinstance(config.store_dir, str) or not config.store_dir
-        ):
-            raise ValueError(
-                f"store_dir must be a directory path or None, "
-                f"got {config.store_dir!r}"
-            )
-        if (
-            not isinstance(config.store_max_bytes, int)
-            or isinstance(config.store_max_bytes, bool)
-            or config.store_max_bytes <= 0
-        ):
-            raise ValueError(
-                f"store_max_bytes must be a positive int, "
-                f"got {config.store_max_bytes!r}"
-            )
         if config.store_remote_url is not None:
-            if not isinstance(config.store_remote_url, str) or not (
-                config.store_remote_url.startswith("http://")
-                or config.store_remote_url.startswith("https://")
-            ):
-                raise ValueError(
+            if not config.store_remote_url.startswith(("http://", "https://")):
+                raise ConfigError(
                     f"store_remote_url must be an http(s) base URL or None, "
                     f"got {config.store_remote_url!r}"
                 )
             if config.store_dir is None:
-                raise ValueError(
+                raise ConfigError(
                     "store_remote_url requires store_dir: the remote tier "
                     "sits behind the local disk tier, never replaces it"
                 )
-        if (
-            not isinstance(config.store_remote_timeout_ms, int)
-            or isinstance(config.store_remote_timeout_ms, bool)
-            or config.store_remote_timeout_ms < 1
-        ):
-            raise ValueError(
-                f"store_remote_timeout_ms must be an int >= 1, "
-                f"got {config.store_remote_timeout_ms!r}"
-            )
-        if config.store_codec not in ("json", "binary"):
-            raise ValueError(
-                f"store_codec must be 'json' or 'binary', "
-                f"got {config.store_codec!r}"
-            )
-        if not config.serve_host or not isinstance(config.serve_host, str):
-            raise ValueError(
-                f"serve_host must be a bind address, got {config.serve_host!r}"
-            )
-        if (
-            not isinstance(config.serve_port, int)
-            or isinstance(config.serve_port, bool)
-            or not 0 <= config.serve_port <= 65535
-        ):
-            raise ValueError(
-                f"serve_port must be an int in [0, 65535], "
-                f"got {config.serve_port!r}"
-            )
-        for knob in ("serve_workers", "serve_max_queue", "serve_max_sessions"):
-            value = getattr(config, knob)
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 1
-            ):
-                raise ValueError(f"{knob} must be an int >= 1, got {value!r}")
-        if (
-            not isinstance(config.serve_timeout_seconds, (int, float))
-            or isinstance(config.serve_timeout_seconds, bool)
-            or config.serve_timeout_seconds <= 0
-        ):
-            raise ValueError(
-                f"serve_timeout_seconds must be positive, "
-                f"got {config.serve_timeout_seconds!r}"
-            )
-        if (
-            not isinstance(config.serve_shards, int)
-            or isinstance(config.serve_shards, bool)
-            or config.serve_shards < 0
-        ):
-            raise ValueError(
-                f"serve_shards must be an int >= 0 (0 = single process), "
-                f"got {config.serve_shards!r}"
-            )
-        if (
-            not isinstance(config.serve_rebalance, (int, float))
-            or isinstance(config.serve_rebalance, bool)
-            or config.serve_rebalance <= 0
-        ):
-            raise ValueError(
-                f"serve_rebalance must be a positive number of seconds, "
-                f"got {config.serve_rebalance!r}"
-            )
-        for knob in ("serve_metrics", "serve_trace", "trace_propagate",
-                     "serve_log_enabled"):
-            value = getattr(config, knob)
-            if not isinstance(value, bool):
-                raise ValueError(f"{knob} must be a bool, got {value!r}")
-        if (
-            not isinstance(config.serve_log_slow_ms, (int, float))
-            or isinstance(config.serve_log_slow_ms, bool)
-            or config.serve_log_slow_ms < 0
-        ):
-            raise ValueError(
-                f"serve_log_slow_ms must be a number >= 0, "
-                f"got {config.serve_log_slow_ms!r}"
-            )
-        if (
-            not isinstance(config.serve_log_ring, int)
-            or isinstance(config.serve_log_ring, bool)
-            or config.serve_log_ring < 1
-        ):
-            raise ValueError(
-                f"serve_log_ring must be an int >= 1, "
-                f"got {config.serve_log_ring!r}"
-            )
-        for knob in ("loadgen_clients", "loadgen_ops", "loadgen_programs",
-                     "loadgen_procs"):
-            value = getattr(config, knob)
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 1
-            ):
-                raise ValueError(f"{knob} must be an int >= 1, got {value!r}")
-        if not isinstance(config.loadgen_seed, int) or isinstance(
-            config.loadgen_seed, bool
-        ):
-            raise ValueError(
-                f"loadgen_seed must be an int, got {config.loadgen_seed!r}"
-            )
         from repro.diag.findings import RULES, SEVERITIES
 
         if config.diag_severity_floor not in SEVERITIES:
-            raise ValueError(
+            raise ConfigError(
                 f"diag_severity_floor must be one of {SEVERITIES}, "
                 f"got {config.diag_severity_floor!r}"
             )
         if config.diag_rules is not None:
             unknown_rules = sorted(set(config.diag_rules) - set(RULES))
             if unknown_rules:
-                raise ValueError(
+                raise ConfigError(
                     f"unknown diag_rules: {unknown_rules}; "
                     f"known rule IDs: {sorted(RULES)}"
                 )
-        if not isinstance(config.diag_sarif, bool):
-            raise ValueError(
-                f"diag_sarif must be a bool, got {config.diag_sarif!r}"
-            )
         return config
 
     def to_dict(self) -> Dict[str, Any]:
@@ -384,3 +294,50 @@ class ICPConfig:
         if lattice.is_const and not self.admit_value(lattice.const_value):
             return BOTTOM
         return lattice
+
+
+#: Every key's dataclass field, and its annotation resolved once.
+FIELDS = {f.name: f for f in fields(ICPConfig)}
+HINTS: Dict[str, Any] = get_type_hints(ICPConfig)
+
+_KINDS = {
+    bool: "a bool", int: "an int", float: "a number", str: "a non-empty string"
+}
+
+
+def _describe(hint: Any) -> str:
+    if get_origin(hint) is Union:  # Optional[X]
+        return _describe(get_args(hint)[0]) + " or None"
+    if get_origin(hint) is tuple:  # Tuple[str, ...]
+        return "a list of strings"
+    return _KINDS[hint]
+
+
+def _fits(hint: Any, value: Any) -> bool:
+    if get_origin(hint) is Union:
+        return value is None or _fits(get_args(hint)[0], value)
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_fits(str, v) for v in value)
+    if hint is bool or isinstance(value, bool):
+        # A bool is an int to isinstance, never to a config key.
+        return hint is bool and isinstance(value, bool)
+    if hint is str:
+        return isinstance(value, str) and value != ""
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check(name: str, value: Any) -> None:
+    """Reject ``value`` unless it fits key ``name``'s type and allowed values."""
+    if not _fits(HINTS[name], value):
+        raise ConfigError(f"{name} must be {_describe(HINTS[name])}, got {value!r}")
+    if value is None:
+        return
+    meta = FIELDS[name].metadata
+    if "choices" in meta and value not in meta["choices"]:
+        raise ConfigError(f"{name} must be one of {meta['choices']}, got {value!r}")
+    if "min" in meta and value < meta["min"]:
+        raise ConfigError(f"{name} must be >= {meta['min']}, got {value!r}")
+    if "max" in meta and value > meta["max"]:
+        raise ConfigError(f"{name} must be <= {meta['max']}, got {value!r}")
+    if "above" in meta and value <= meta["above"]:
+        raise ConfigError(f"{name} must be > {meta['above']}, got {value!r}")

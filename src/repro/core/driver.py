@@ -327,18 +327,3 @@ def analyze(
         source, run_transform=run_transform
     )
 
-
-def __getattr__(name: str):
-    # PEP 562 shim: the historical name keeps working when imported from
-    # this module directly, but steers callers to the stable facade.
-    if name == "analyze_program":
-        import warnings
-
-        warnings.warn(
-            "importing analyze_program from repro.core.driver is deprecated; "
-            "use `from repro.api import analyze` instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return analyze
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,6 +24,11 @@ class ReproError(Exception):
     """Base class for every error raised by the ``repro`` package."""
 
 
+class ConfigError(ReproError, ValueError):
+    """An :class:`~repro.core.config.ICPConfig` key is unknown or its value
+    does not fit the key's type and allowed values."""
+
+
 class FrontendError(ReproError):
     """An error detected while lexing, parsing, or validating MiniF source."""
 

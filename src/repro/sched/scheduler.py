@@ -137,10 +137,10 @@ class Scheduler:
         cache: Optional[SummaryCache] = None,
         obs: Optional[Observability] = None,
     ) -> "Scheduler":
-        """Build a scheduler from an :class:`ICPConfig`-shaped object."""
+        """Build a scheduler from an :class:`ICPConfig`."""
         return cls(
-            workers=getattr(config, "workers", 1),
-            executor=getattr(config, "executor", "thread"),
+            workers=config.workers,
+            executor=config.executor,
             cache=cache,
             obs=obs,
         )

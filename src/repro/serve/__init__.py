@@ -24,7 +24,6 @@ from repro.serve.context import (
 )
 from repro.serve.daemon import (
     API_VERSION,
-    DEPRECATION_HEADER,
     RETRY_AFTER_SECONDS,
     AnalysisServer,
     JSONHTTPFront,
@@ -45,7 +44,6 @@ from repro.serve.router import (
 __all__ = [
     "API_VERSION",
     "AnalysisServer",
-    "DEPRECATION_HEADER",
     "HashRing",
     "JSONHTTPFront",
     "LocalShard",

@@ -38,9 +38,9 @@ Production behaviors:
   attributes and ``GET /debug/trace`` exports this process's Chrome
   trace for the router to merge into one fleet timeline.
 
-Endpoints (JSON unless noted).  The supported spelling is versioned
-under ``/v1``; the bare legacy paths keep answering as aliases but carry
-a ``Deprecation: true`` response header::
+Endpoints (JSON unless noted).  Every route lives under ``/v1``; a path
+without the prefix answers 404 with an error naming its ``/v1``
+spelling::
 
     GET    /v1/healthz                    liveness, shard identity, store stats
     GET    /v1/stats                      server/store/session counters
@@ -86,13 +86,8 @@ from repro.store import PersistentCache, SummaryStore, store_from_config
 #: Seconds clients should wait before retrying a 503-rejected request.
 RETRY_AFTER_SECONDS = 1
 
-#: The current HTTP API version; every route also answers under
-#: ``/v1/...``.  Unversioned paths remain as deprecated aliases.
+#: The HTTP API version: every route lives under ``/v1/...``.
 API_VERSION = "v1"
-
-#: Header announcing that the request used a deprecated (unversioned)
-#: path; clients should move to ``/v1/...``.
-DEPRECATION_HEADER = "Deprecation"
 
 #: Response payloads are JSON objects, except ``/metrics`` which is text
 #: and ``/v1/summaries/<key>`` which is raw entry bytes.
@@ -105,11 +100,10 @@ Body = Union[Dict[str, Any], bytes, None]
 def split_api_version(path: str) -> Tuple[str, bool]:
     """Strip a leading ``/v1`` from ``path``; `(canonical, versioned)`.
 
-    Routing is defined over *canonical* (unversioned) paths; the
-    versioned spelling is the supported public surface and the bare one
-    a deprecated alias, so :meth:`JSONHTTPFront.handle_request`
-    normalizes before dispatch and stamps legacy requests with a
-    ``Deprecation`` header.  The query string survives normalization.
+    Routing is defined over *canonical* (unprefixed) paths, so
+    :meth:`JSONHTTPFront.handle_request` strips the prefix before
+    dispatch and answers a path without it with 404.  The query string
+    survives normalization.
     """
     parsed = urlparse(path)
     prefix = f"/{API_VERSION}"
@@ -236,11 +230,14 @@ class JSONHTTPFront:
     ) -> Tuple[int, Payload, Dict[str, str]]:
         """One request, end to end: identity, metrics, log, dispatch.
 
-        Accepts both the versioned (``/v1/...``) and the legacy bare
-        spelling of every route; dispatch sees the canonical path, and
-        legacy responses carry a ``Deprecation`` header.
+        Routes live under ``/v1``; dispatch sees the canonical path with
+        the prefix stripped.  A path without the prefix gets a 404 naming
+        its ``/v1`` spelling, through the same envelope as any other
+        answer: the request id is echoed, and the request is logged and
+        counted.
         """
         canonical, versioned = split_api_version(path)
+        endpoint = _endpoint_class(method, canonical) if versioned else "other"
         ctx = None
         # LocalShards nest a shard's handle_request inside the router's on
         # one thread; restoring (not clearing) keeps the outer ctx intact.
@@ -259,7 +256,11 @@ class JSONHTTPFront:
             metrics.gauge("http.in_flight").add(1)
         status, payload, extra = 500, {"error": "internal"}, {}
         try:
-            handled = self._handle_obs_endpoint(method, canonical)
+            if versioned:
+                handled = self._handle_obs_endpoint(method, canonical)
+            else:
+                message = f"unversioned path; use /{API_VERSION}{path}"
+                handled = 404, {"error": message}, {}
             if handled is not None:
                 status, payload, extra = handled
             else:
@@ -277,9 +278,9 @@ class JSONHTTPFront:
             if metrics.enabled:
                 metrics.gauge("http.in_flight").add(-1)
                 metrics.counter(f"http.status.{status}").inc()
-                metrics.histogram(
-                    f"http.latency.{_endpoint_class(method, canonical)}"
-                ).observe(latency_ms)
+                metrics.histogram(f"http.latency.{endpoint}").observe(
+                    latency_ms
+                )
             if ctx is not None:
                 if self.obs.tracer.enabled:
                     self.obs.tracer.unbind()
@@ -297,8 +298,6 @@ class JSONHTTPFront:
         extra = dict(extra)
         if ctx is not None:
             extra[REQUEST_ID_HEADER] = ctx.request_id
-        if not versioned:
-            extra[DEPRECATION_HEADER] = "true"
         return status, payload, extra
 
     def _handle_obs_endpoint(
@@ -843,7 +842,6 @@ class AnalysisServer(JSONHTTPFront):
             "bytes": s.bytes,
             "entries": s.entries,
             "dedup_writes": s.dedup_writes,
-            "codec": self.store.codec,
         }
         if self.store.remote is not None:
             payload["remote"] = {

@@ -453,9 +453,8 @@ class ShardRouter(JSONHTTPFront):
             return self._unavailable("router queue is full")
         try:
             timeout = self._proxy_timeout(body, query)
-            # Dispatch sees canonical (unversioned) paths; the hop to the
-            # shard speaks the supported /v1 surface so proxied requests
-            # never look deprecated in shard logs.
+            # Dispatch sees canonical (unprefixed) paths; the hop to the
+            # shard speaks /v1, the only surface a shard answers.
             path = f"/{API_VERSION}{path}"
             # The proxy hop gets its own span id; the shard's request span
             # parents onto it via the X-Repro-Trace header, stitching the
@@ -524,7 +523,8 @@ class ShardRouter(JSONHTTPFront):
                 continue
             try:
                 status, payload, _ = shard.request(
-                    "GET", "/debug/metrics", {}, PROBE_TIMEOUT_SECONDS
+                    "GET", f"/{API_VERSION}/debug/metrics", {},
+                    PROBE_TIMEOUT_SECONDS,
                 )
             except ShardUnavailable:
                 self._wake.set()
@@ -559,7 +559,8 @@ class ShardRouter(JSONHTTPFront):
                 continue
             try:
                 status, payload, _ = shard.request(
-                    "GET", "/debug/trace", {}, PROBE_TIMEOUT_SECONDS
+                    "GET", f"/{API_VERSION}/debug/trace", {},
+                    PROBE_TIMEOUT_SECONDS,
                 )
             except ShardUnavailable:
                 self._wake.set()
@@ -642,7 +643,8 @@ class ShardRouter(JSONHTTPFront):
             if entry["alive"]:
                 try:
                     status, payload, _ = shard.request(
-                        "GET", "/stats", {}, PROBE_TIMEOUT_SECONDS
+                        "GET", f"/{API_VERSION}/stats", {},
+                        PROBE_TIMEOUT_SECONDS,
                     )
                     if status == 200:
                         entry["stats"] = payload

@@ -7,10 +7,10 @@ identical procedures analyzed by different shards or tenants are
 computed once fleet-wide.  The tiers, top to bottom:
 
 1. memory — the scheduler's :class:`SummaryCache` dict;
-2. local disk — :class:`SummaryStore`, decoded entries
-   (:mod:`repro.store.codec`: JSON or binary, sniffed) over a
-   :class:`BlobStore` directory (atomic writes, LRU eviction under
-   ``max_bytes``, background compaction, dedup accounting);
+2. local disk — :class:`SummaryStore`, JSON entries
+   (:mod:`repro.store.codec`) over a :class:`BlobStore` directory
+   (atomic writes, LRU eviction under ``max_bytes``, background
+   compaction, dedup accounting);
 3. remote HTTP — :class:`RemoteStore`, a bounded-timeout fail-open
    client of the ``repro-icp summary-server`` daemon
    (:class:`SummaryService`), speaking content-addressed
@@ -32,7 +32,6 @@ from repro.sched.cache import SummaryCache
 from repro.store.blob import BlobStats, BlobStore
 from repro.store.codec import (
     CODEC_VERSION,
-    CODECS,
     STORE_VERSION,
     decode_entry,
     decode_intra,
@@ -50,7 +49,6 @@ from repro.store.tiered import PersistentCache
 __all__ = [
     "BlobStats",
     "BlobStore",
-    "CODECS",
     "CODEC_VERSION",
     "DEFAULT_MAX_BYTES",
     "STORE_VERSION",
@@ -74,12 +72,11 @@ def remote_from_config(
     config, obs: Optional[Observability] = None
 ) -> Optional[RemoteStore]:
     """The remote summary tier a config asks for, or ``None``."""
-    url = getattr(config, "store_remote_url", None)
-    if not url:
+    if config.store_remote_url is None:
         return None
     return RemoteStore(
-        url,
-        timeout_ms=getattr(config, "store_remote_timeout_ms", None) or 250,
+        config.store_remote_url,
+        timeout_ms=config.store_remote_timeout_ms,
         obs=obs,
     )
 
@@ -89,15 +86,13 @@ def store_from_config(
 ) -> Optional[SummaryStore]:
     """The persistent store a config asks for (with its remote tier), or
     ``None`` when ``store_dir`` is unset."""
-    store_dir = getattr(config, "store_dir", None)
-    if not store_dir:
+    if config.store_dir is None:
         return None
     return SummaryStore(
-        store_dir,
-        max_bytes=getattr(config, "store_max_bytes", DEFAULT_MAX_BYTES),
+        config.store_dir,
+        max_bytes=config.store_max_bytes,
         obs=obs,
         remote=remote_from_config(config, obs=obs),
-        codec=getattr(config, "store_codec", None) or "json",
     )
 
 
@@ -106,7 +101,7 @@ def cache_from_config(
     obs: Optional[Observability] = None,
     store: Optional[SummaryStore] = None,
 ) -> Optional[SummaryCache]:
-    """The summary cache an :class:`ICPConfig`-shaped object asks for.
+    """The summary cache an :class:`ICPConfig` asks for.
 
     ``store_dir`` implies caching (a persistent tier is useless without
     the memory tier in front of it); plain ``cache`` without a store dir
@@ -120,7 +115,7 @@ def cache_from_config(
         store = store_from_config(config, obs=obs)
     if store is not None:
         return PersistentCache(store)
-    if getattr(config, "cache", False):
+    if config.cache:
         return SummaryCache()
     return None
 

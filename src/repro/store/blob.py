@@ -1,19 +1,18 @@
 """The byte-level tier shared by the local store and the summary service.
 
 A :class:`BlobStore` is a size-bounded, crash-safe directory of opaque
-blobs addressed by sha256-hex keys.  It knows nothing about codecs or
-:class:`IntraResult` — the typed :class:`~repro.store.store.SummaryStore`
-layers entry decoding on top, and the ``repro-icp summary-server``
-daemon serves the blobs verbatim over HTTP (clients validate content, so
-the service never needs to decode).
+blobs addressed by sha256-hex keys.  It knows nothing about the entry
+codec or :class:`IntraResult` — the typed
+:class:`~repro.store.store.SummaryStore` layers entry decoding on top,
+and the ``repro-icp summary-server`` daemon serves the blobs verbatim
+over HTTP (clients validate content, so the service never needs to
+decode).
 
 Layout (one directory per store)::
 
     <root>/
         VERSION            format stamp; a mismatch wipes the store
-        entries/<key>.json one blob per entry (sha256-hex key; the
-                           ``.json`` suffix is historical — binary-codec
-                           blobs use it too, readers sniff the content)
+        entries/<key>.json one JSON blob per entry (sha256-hex key)
 
 Durability and tolerance guarantees:
 

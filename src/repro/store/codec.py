@@ -1,38 +1,26 @@
-"""Entry codecs for persisted per-procedure analysis results.
+"""The entry codec for persisted per-procedure analysis results.
 
-The on-disk/wire tier stores one *entry blob* per :class:`IntraResult`,
-in one of two self-describing encodings:
+The on-disk/wire tier stores one *entry blob* per :class:`IntraResult`:
+a JSON dict ``{"version", "key", "pass", "payload"}``, human-inspectable.
+A blob that is not such a dict for this key and :data:`STORE_VERSION`
+decodes to ``None``, so the store drops it as corrupt and rewrites it.
 
-- **JSON** (the default) — a dict ``{"version", "key", "pass",
-  "payload"}``, human-inspectable; the historical PR 5 format.
-- **Binary** — a length-prefixed stdlib-``struct`` stream behind the
-  4-byte magic ``b"ICPB"`` plus a version byte; roughly 2× cheaper to
-  decode, which matters because decode sits on the warm-start hot path.
-
-:func:`decode_entry` sniffs the first bytes (a JSON entry can never begin
-with the binary magic), so a store directory — or the remote summary
-service — may hold a mix of both encodings and either codec reads stores
-written by the other.  Legacy JSON stores therefore stay readable when a
-deployment switches ``store_codec`` to ``"binary"``.
-
-Both encodings round-trip everything the interprocedural propagation and
+The encoding round-trips everything the interprocedural propagation and
 the reports consume — call-site argument/global lattice values,
-executability, the return value, and the exit-value table.  They
-deliberately do **not** persist the engine ``detail`` (CFG/SSA
+executability, the return value, and the exit-value table.  It
+deliberately does **not** persist the engine ``detail`` (CFG/SSA
 internals): detail references AST objects of the analyzed process and
 exists only for the transformation pass (which re-runs the engine
 itself), the ICP004 reachability lint, and observability — all of which
 tolerate its absence, the same contract the ``simple`` engine already
 exercises.
 
-Lattice values encode as compact tagged tokens (JSON) or tag bytes
-(binary):
+Lattice values encode as compact tagged tokens:
 
 - ``"T"`` / ``"B"`` — TOP / BOTTOM,
-- ``["c", payload]`` — a constant; both codecs preserve the int/float
-  distinction the lattice's type-sensitive equality depends on, and the
-  binary codec carries arbitrary-precision ints (the evaluator folds
-  beyond 64 bits) as length-prefixed two's-complement bytes.
+- ``["c", payload]`` — a constant; JSON keeps the int/float distinction
+  the lattice's type-sensitive equality depends on, and Python's JSON
+  ints are arbitrary-precision (the evaluator folds beyond 64 bits).
 
 Call sites persist their program-wide identity ``(caller, index, callee)``
 only.  Decoding *rebinds* each :class:`CallSiteValues` to the live
@@ -46,10 +34,8 @@ the store can drop and rewrite it.
 
 from __future__ import annotations
 
-import io
 import json
-import struct
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.analysis.base import CallSiteValues, IntraResult
 from repro.ir.lattice import BOTTOM, TOP, LatticeValue
@@ -59,23 +45,10 @@ from repro.lang.symbols import ProcedureSymbols
 #: stamp, so old stores are wiped rather than misread.
 CODEC_VERSION = 1
 
-#: Store/wire format stamp.  Embedded in every entry blob (both codecs)
-#: and written to the store directory's ``VERSION`` file, so either
-#: layer's format change invalidates persisted state instead of
-#: misreading it.
+#: Store/wire format stamp.  Embedded in every entry blob and written to
+#: the store directory's ``VERSION`` file, so either layer's format change
+#: invalidates persisted state instead of misreading it.
 STORE_VERSION = f"repro-icp-store/v1+codec{CODEC_VERSION}"
-
-#: First bytes of a binary entry.  JSON entries start with ``{``, so the
-#: magic doubles as the codec sniff.
-BINARY_MAGIC = b"ICPB"
-
-#: Version byte of the binary layout; bump on any wire-layout change.
-#: Decoders reject other versions (the blob then reads as corrupt and is
-#: rewritten), independent of the payload-shape :data:`CODEC_VERSION`.
-BINARY_VERSION = 1
-
-#: Codec names accepted by :func:`encode_entry` / ``ICPConfig.store_codec``.
-CODECS = ("json", "binary")
 
 
 def encode_value(value: LatticeValue) -> Union[str, List[Any]]:
@@ -180,217 +153,28 @@ def decode_intra(
         return None
 
 
-# ----------------------------------------------------------------------
-# Binary wire layout.
-#
-#   magic(4) version(u8) | str(STORE_VERSION) str(key) str(pass)
-#   str(proc) str(engine) value(return)
-#   u32 n_sites { str(caller) u32(index) str(callee) u8(executable)
-#                 u32 n_args value* u32 n_globals (str value)* }
-#   u8 has_exit [ u32 n (str value)* ]
-#
-# where str = u32 byte-length + utf-8 bytes, and value = tag u8:
-#   0 TOP | 1 BOTTOM | 2 int (u32 len + two's-complement big-endian)
-#   3 float (IEEE-754 double, big-endian)
-# ----------------------------------------------------------------------
-
-_U8 = struct.Struct(">B")
-_U32 = struct.Struct(">I")
-_F64 = struct.Struct(">d")
-
-_TAG_TOP, _TAG_BOTTOM, _TAG_INT, _TAG_FLOAT = 0, 1, 2, 3
-
-
-def _pack_str(out: io.BytesIO, text: str) -> None:
-    data = text.encode("utf-8")
-    out.write(_U32.pack(len(data)))
-    out.write(data)
-
-
-def _pack_value(out: io.BytesIO, value: LatticeValue) -> None:
-    if value.is_top:
-        out.write(_U8.pack(_TAG_TOP))
-    elif value.is_bottom:
-        out.write(_U8.pack(_TAG_BOTTOM))
-    elif isinstance(value.const_value, float):
-        out.write(_U8.pack(_TAG_FLOAT))
-        out.write(_F64.pack(value.const_value))
-    else:
-        # Arbitrary-precision int (the evaluator folds beyond 64 bits).
-        payload = value.const_value.to_bytes(
-            (value.const_value.bit_length() + 8) // 8 or 1,
-            "big",
-            signed=True,
-        )
-        out.write(_U8.pack(_TAG_INT))
-        out.write(_U32.pack(len(payload)))
-        out.write(payload)
-
-
-class _Reader:
-    """Bounds-checked cursor; raises ``ValueError`` on any truncation."""
-
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if count < 0 or end > len(self.raw):
-            raise ValueError("truncated binary entry")
-        chunk = self.raw[self.pos : end]
-        self.pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
-
-    def value(self) -> LatticeValue:
-        tag = self.u8()
-        if tag == _TAG_TOP:
-            return TOP
-        if tag == _TAG_BOTTOM:
-            return BOTTOM
-        if tag == _TAG_INT:
-            length = self.u32()
-            return LatticeValue(
-                1, int.from_bytes(self.take(length), "big", signed=True)
-            )
-        if tag == _TAG_FLOAT:
-            return LatticeValue(1, _F64.unpack(self.take(8))[0])
-        raise ValueError(f"malformed lattice tag: {tag}")
-
-    def done(self) -> bool:
-        return self.pos == len(self.raw)
-
-
-def encode_entry(
-    key: str, pass_label: str, intra: IntraResult, codec: str = "json"
-) -> bytes:
-    """Serialize one store entry in the requested codec."""
-    if codec == "json":
-        blob = {
-            "version": STORE_VERSION,
-            "key": key,
-            "pass": pass_label,
-            "payload": encode_intra(intra),
-        }
-        text = json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n"
-        return text.encode("utf-8")
-    if codec != "binary":
-        raise ValueError(f"store codec must be one of {CODECS}, got {codec!r}")
-    out = io.BytesIO()
-    out.write(BINARY_MAGIC)
-    out.write(_U8.pack(BINARY_VERSION))
-    _pack_str(out, STORE_VERSION)
-    _pack_str(out, key)
-    _pack_str(out, pass_label)
-    _pack_str(out, intra.proc_name)
-    _pack_str(out, intra.engine)
-    _pack_value(out, intra.return_value)
-    sites = sorted(intra.call_sites.items())
-    out.write(_U32.pack(len(sites)))
-    for (caller, index), values in sites:
-        _pack_str(out, caller)
-        out.write(_U32.pack(index))
-        _pack_str(out, values.site.callee)
-        out.write(_U8.pack(1 if values.executable else 0))
-        out.write(_U32.pack(len(values.arg_values)))
-        for value in values.arg_values:
-            _pack_value(out, value)
-        globals_sorted = sorted(values.global_values.items())
-        out.write(_U32.pack(len(globals_sorted)))
-        for name, value in globals_sorted:
-            _pack_str(out, name)
-            _pack_value(out, value)
-    if intra.exit_values is None:
-        out.write(_U8.pack(0))
-    else:
-        out.write(_U8.pack(1))
-        exits = sorted(intra.exit_values.items())
-        out.write(_U32.pack(len(exits)))
-        for name, value in exits:
-            _pack_str(out, name)
-            _pack_value(out, value)
-    return out.getvalue()
-
-
-def entry_codec(raw: bytes) -> str:
-    """Which codec wrote this blob (``"binary"`` or ``"json"``)."""
-    return "binary" if raw.startswith(BINARY_MAGIC) else "json"
-
-
-def _decode_binary(
-    raw: bytes, key: str, symbols: ProcedureSymbols
-) -> Optional[IntraResult]:
-    reader = _Reader(raw)
-    reader.take(len(BINARY_MAGIC))
-    if reader.u8() != BINARY_VERSION:
-        return None
-    if reader.text() != STORE_VERSION or reader.text() != key:
-        return None
-    reader.text()  # pass label: carried for tooling, unused on decode
-    proc_name = reader.text()
-    engine = reader.text()
-    return_value = reader.value()
-    by_key = {(site.caller, site.index): site for site in symbols.call_sites}
-    call_sites: Dict[Tuple[str, int], CallSiteValues] = {}
-    for _ in range(reader.u32()):
-        caller = reader.text()
-        index = reader.u32()
-        callee = reader.text()
-        executable = reader.u8() != 0
-        arg_values = [reader.value() for _ in range(reader.u32())]
-        global_values = {
-            reader.text(): reader.value() for _ in range(reader.u32())
-        }
-        site = by_key.get((caller, index))
-        if site is None or site.callee != callee:
-            return None
-        call_sites[(caller, index)] = CallSiteValues(
-            site=site,
-            executable=executable,
-            arg_values=arg_values,
-            global_values=global_values,
-        )
-    if set(call_sites) != set(by_key):
-        return None  # entry predates a call-site change: stale
-    exit_values = None
-    if reader.u8():
-        exit_values = {
-            reader.text(): reader.value() for _ in range(reader.u32())
-        }
-    if not reader.done():
-        return None  # trailing garbage: treat as corrupt
-    return IntraResult(
-        proc_name=proc_name,
-        engine=engine,
-        call_sites=call_sites,
-        return_value=return_value,
-        detail=None,
-        exit_values=exit_values,
-    )
+def encode_entry(key: str, pass_label: str, intra: IntraResult) -> bytes:
+    """Serialize one store entry."""
+    blob = {
+        "version": STORE_VERSION,
+        "key": key,
+        "pass": pass_label,
+        "payload": encode_intra(intra),
+    }
+    text = json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n"
+    return text.encode("utf-8")
 
 
 def decode_entry(
     raw: bytes, key: str, symbols: ProcedureSymbols
 ) -> Optional[IntraResult]:
-    """Decode one entry blob of either codec; ``None`` on any problem.
+    """Decode one entry blob; ``None`` on any problem.
 
-    Sniffs the binary magic, otherwise parses JSON.  Mis-keyed,
-    stale-format, truncated, or symbol-drifted blobs all decode to
-    ``None`` (never an exception) so callers can treat them as corrupt
-    misses.
+    Mis-keyed, stale-format, truncated, non-JSON, or symbol-drifted blobs
+    all decode to ``None`` (never an exception) so callers can treat them
+    as corrupt misses.
     """
     try:
-        if raw.startswith(BINARY_MAGIC):
-            return _decode_binary(raw, key, symbols)
         blob = json.loads(raw.decode("utf-8"))
         if (
             isinstance(blob, dict)
@@ -399,5 +183,5 @@ def decode_entry(
         ):
             return decode_intra(blob.get("payload", {}), symbols)
         return None
-    except (KeyError, TypeError, ValueError, UnicodeDecodeError, struct.error):
+    except (KeyError, TypeError, ValueError, UnicodeDecodeError):
         return None

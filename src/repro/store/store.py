@@ -10,14 +10,11 @@ codec (:mod:`repro.store.codec`) over a local
 
 - ``get`` reads the local blob; on a local miss it asks the remote tier
   and *promotes* a remote hit onto local disk, so a shard pays the
-  network round trip once per key.  Blobs of either codec decode
-  (:func:`~repro.store.codec.decode_entry` sniffs), and an undecodable
-  local blob is dropped as corrupt so the write-through cache rewrites
-  it.
-- ``put`` encodes with the configured codec (``"json"`` default,
-  ``"binary"`` for the cheaper hot-path decode), writes the local blob,
-  and replicates to the remote tier fail-open — a dead summary service
-  never fails a write.
+  network round trip once per key.  An undecodable local blob is dropped
+  as corrupt so the write-through cache rewrites it.
+- ``put`` encodes the entry as JSON, writes the local blob, and
+  replicates to the remote tier fail-open — a dead summary service never
+  fails a write.
 
 Crash-safety, eviction, compaction, and dedup accounting live in the
 blob layer; see :mod:`repro.store.blob`.  All ``store.*`` metrics from
@@ -36,7 +33,6 @@ from repro.obs import NULL_OBS, Observability
 from repro.store.blob import DEFAULT_MAX_BYTES, BlobStore
 from repro.store.codec import (
     CODEC_VERSION,
-    CODECS,
     STORE_VERSION,
     decode_entry,
     encode_entry,
@@ -87,16 +83,10 @@ class SummaryStore:
         max_bytes: int = DEFAULT_MAX_BYTES,
         obs: Optional[Observability] = None,
         remote: Optional[RemoteStore] = None,
-        codec: str = "json",
     ):
-        if codec not in CODECS:
-            raise ValueError(
-                f"store codec must be one of {CODECS}, got {codec!r}"
-            )
         self.obs = obs or NULL_OBS
         self.blobs = BlobStore(root, max_bytes, obs=self.obs)
         self.remote = remote
-        self.codec = codec
         self._hits = 0
         self._misses = 0
 
@@ -173,7 +163,7 @@ class SummaryStore:
 
     def put(self, key: str, pass_label: str, intra: IntraResult) -> None:
         """Persist one entry locally and replicate it to the remote tier."""
-        data = encode_entry(key, pass_label, intra, self.codec)
+        data = encode_entry(key, pass_label, intra)
         self.blobs.put(key, data)
         if self.remote is not None:
             self.remote.put(key, data)  # fail-open: outage never fails a put

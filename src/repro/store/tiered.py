@@ -13,9 +13,6 @@ the one above it.
 Disk entries carry no engine ``detail`` (see :mod:`repro.store.codec`);
 an in-memory hit that originated on disk therefore reports ``None``
 detail, which every consumer tolerates (the ``simple`` engine contract).
-
-.. note:: This module is the new home of ``repro.store.persist``; the
-   old module imports from here behind a :pep:`562` deprecation shim.
 """
 
 from __future__ import annotations

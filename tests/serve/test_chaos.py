@@ -108,7 +108,7 @@ class TestShardCrash:
             if not victim.alive():
                 status, payload, headers = router.handle_request(
                     "GET",
-                    "/programs/victim/report",
+                    "/v1/programs/victim/report",
                     headers={REQUEST_ID_HEADER: "chaos-dead"},
                 )
                 assert headers[REQUEST_ID_HEADER] == "chaos-dead"
@@ -124,7 +124,7 @@ class TestShardCrash:
             # client-supplied id round-trips through the replacement.
             status, _, headers = router.handle_request(
                 "GET",
-                "/programs/victim/report",
+                "/v1/programs/victim/report",
                 headers={REQUEST_ID_HEADER: "chaos-dead"},
             )
             assert headers[REQUEST_ID_HEADER] == "chaos-dead"
@@ -217,7 +217,7 @@ class TestOrderlyShutdown:
             banner = proc.stderr.readline()
             port = int(re.search(r":(\d+) ", banner).group(1))
             with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/healthz", timeout=30
+                f"http://127.0.0.1:{port}/v1/healthz", timeout=30
             ) as response:
                 health = json.loads(response.read())
             worker_pids = [s["pid"] for s in health["shards"]]

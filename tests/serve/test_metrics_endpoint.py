@@ -47,9 +47,9 @@ def router():
 
 class TestDaemonMetrics:
     def test_metrics_endpoint_renders_prometheus_text(self, server):
-        server.handle_request("POST", "/programs/p1", {"source": SOURCE})
-        server.handle_request("GET", "/programs/p1/report")
-        status, text, headers = server.handle_request("GET", "/metrics")
+        server.handle_request("POST", "/v1/programs/p1", {"source": SOURCE})
+        server.handle_request("GET", "/v1/programs/p1/report")
+        status, text, headers = server.handle_request("GET", "/v1/metrics")
         assert status == 200
         assert headers["Content-Type"] == CONTENT_TYPE
         parsed = parse_prometheus_text(text)
@@ -64,25 +64,25 @@ class TestDaemonMetrics:
     def test_metrics_404_when_disabled(self):
         server = AnalysisServer(_config(serve_metrics=False))
         try:
-            status, payload, _ = server.handle_request("GET", "/metrics")
+            status, payload, _ = server.handle_request("GET", "/v1/metrics")
             assert status == 404
             assert "disabled" in payload["error"]
-            status, _, _ = server.handle_request("GET", "/debug/metrics")
+            status, _, _ = server.handle_request("GET", "/v1/debug/metrics")
             assert status == 404
         finally:
             server.close()
 
     def test_obs_endpoints_do_not_count_as_serve_requests(self, server):
         before = server.stats.requests
-        server.handle_request("GET", "/metrics")
-        server.handle_request("GET", "/debug/metrics")
+        server.handle_request("GET", "/v1/metrics")
+        server.handle_request("GET", "/v1/debug/metrics")
         assert server.stats.requests == before
 
     def test_debug_metrics_shape(self, server):
         import os
 
-        server.handle_request("GET", "/healthz")
-        status, payload, _ = server.handle_request("GET", "/debug/metrics")
+        server.handle_request("GET", "/v1/healthz")
+        status, payload, _ = server.handle_request("GET", "/v1/debug/metrics")
         assert status == 200
         assert payload["pid"] == os.getpid()
         assert payload["shard"] is None
@@ -94,10 +94,10 @@ class TestRouterMetrics:
     def test_router_aggregates_shards_with_labels(self, router):
         for index in range(4):
             status, _, _ = router.handle_request(
-                "POST", f"/programs/p{index}", {"source": SOURCE}
+                "POST", f"/v1/programs/p{index}", {"source": SOURCE}
             )
             assert status == 200
-        status, text, _ = router.handle_request("GET", "/metrics")
+        status, text, _ = router.handle_request("GET", "/v1/metrics")
         assert status == 200
         parsed = parse_prometheus_text(text)
         front = sample_value(
@@ -129,7 +129,7 @@ class TestRouterMetrics:
 
         router.shards.append(Dead())
         try:
-            status, text, _ = router.handle_request("GET", "/metrics")
+            status, text, _ = router.handle_request("GET", "/v1/metrics")
             assert status == 200
             parsed = parse_prometheus_text(text)
             assert sample_value(
@@ -143,27 +143,27 @@ class TestDebugLast:
     def test_entries_carry_request_ids(self, server):
         server.handle_request(
             "POST",
-            "/programs/p1",
+            "/v1/programs/p1",
             {"source": SOURCE},
             headers={REQUEST_ID_HEADER: "ring-1"},
         )
-        status, payload, _ = server.handle_request("GET", "/debug/last")
+        status, payload, _ = server.handle_request("GET", "/v1/debug/last")
         assert status == 200
         ids = [entry.get("request_id") for entry in payload["entries"]]
         assert "ring-1" in ids
 
     def test_n_query_limits_the_window(self, server):
         for index in range(5):
-            server.handle_request("GET", f"/programs/p{index}/report")
-        status, payload, _ = server.handle_request("GET", "/debug/last?n=2")
+            server.handle_request("GET", f"/v1/programs/p{index}/report")
+        status, payload, _ = server.handle_request("GET", "/v1/debug/last?n=2")
         assert status == 200
         assert len(payload["entries"]) == 2
         paths = [entry["path"] for entry in payload["entries"]]
-        assert paths == ["/programs/p3/report", "/programs/p4/report"]
+        assert paths == ["/v1/programs/p3/report", "/v1/programs/p4/report"]
 
     def test_bad_n_is_a_400(self, server):
         status, payload, _ = server.handle_request(
-            "GET", "/debug/last?n=soon"
+            "GET", "/v1/debug/last?n=soon"
         )
         assert status == 400
         assert "integer" in payload["error"]
@@ -171,8 +171,8 @@ class TestDebugLast:
     def test_disabled_log_keeps_the_ring_empty(self, capsys):
         server = AnalysisServer(_config(serve_log_enabled=False))
         try:
-            server.handle_request("GET", "/healthz")
-            status, payload, _ = server.handle_request("GET", "/debug/last")
+            server.handle_request("GET", "/v1/healthz")
+            status, payload, _ = server.handle_request("GET", "/v1/debug/last")
             assert status == 200
             assert payload["entries"] == []
             assert capsys.readouterr().err == ""

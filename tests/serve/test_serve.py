@@ -368,22 +368,22 @@ class TestHTTP:
                 return error.code, json.loads(error.read()), error.headers
 
         try:
-            assert request("GET", "/healthz")[0] == 200
+            assert request("GET", "/v1/healthz")[0] == 200
             status, payload, _ = request(
-                "POST", "/programs/p1", {"source": SOURCE}
+                "POST", "/v1/programs/p1", {"source": SOURCE}
             )
             assert status == 200 and payload["method"] == "fs"
             status, payload, _ = request(
-                "POST", "/programs/p1/edits", {"source": EDITED}
+                "POST", "/v1/programs/p1/edits", {"source": EDITED}
             )
             assert status == 200 and payload["changed"] == 1
-            status, payload, _ = request("GET", "/programs/p1/report")
+            status, payload, _ = request("GET", "/v1/programs/p1/report")
             assert "constant propagation report" in payload["report"]
             status, payload, headers = request(
-                "POST", "/bogus", {"x": 1}
+                "POST", "/v1/bogus", {"x": 1}
             )
             assert status == 404
-            status, _, _ = request("DELETE", "/programs/p1")
+            status, _, _ = request("DELETE", "/v1/programs/p1")
             assert status == 200
         finally:
             srv.close()
@@ -393,7 +393,7 @@ class TestHTTP:
         host, port = srv.start()
         try:
             req = urllib.request.Request(
-                f"http://{host}:{port}/programs/p1",
+                f"http://{host}:{port}/v1/programs/p1",
                 data=b"{not json",
                 method="POST",
                 headers={"Content-Type": "application/json"},

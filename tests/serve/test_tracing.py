@@ -56,22 +56,22 @@ def traced_router():
 class TestRequestIdentity:
     def test_request_id_is_minted_and_echoed(self, server):
         status, _, headers = server.handle_request(
-            "POST", "/programs/p1", {"source": SOURCE}
+            "POST", "/v1/programs/p1", {"source": SOURCE}
         )
         assert status == 200
         assert len(headers[REQUEST_ID_HEADER]) == 16
 
     def test_client_supplied_request_id_is_honored(self, server):
         status, _, headers = server.handle_request(
-            "GET", "/healthz", headers={REQUEST_ID_HEADER: "req-42"}
+            "GET", "/v1/healthz", headers={REQUEST_ID_HEADER: "req-42"}
         )
         assert status == 200
         assert headers[REQUEST_ID_HEADER] == "req-42"
 
     def test_request_id_is_echoed_on_error_statuses(self, server):
         cases = [
-            ("GET", "/programs/ghost/report", None, 404),
-            ("POST", "/programs/p1", {}, 400),
+            ("GET", "/v1/programs/ghost/report", None, 404),
+            ("POST", "/v1/programs/p1", {}, 400),
             ("GET", "/nope", None, 404),
         ]
         for method, path, body, expected in cases:
@@ -82,14 +82,14 @@ class TestRequestIdentity:
             assert headers[REQUEST_ID_HEADER] == "err-id"
 
     def test_request_id_is_echoed_on_503(self, server):
-        server.handle_request("POST", "/programs/p1", {"source": SOURCE})
+        server.handle_request("POST", "/v1/programs/p1", {"source": SOURCE})
         held = 0
         while server._slots.acquire(blocking=False):
             held += 1
         try:
             status, _, headers = server.handle_request(
                 "GET",
-                "/programs/p1/report",
+                "/v1/programs/p1/report",
                 headers={REQUEST_ID_HEADER: "shed-id"},
             )
             assert status == 503
@@ -100,7 +100,7 @@ class TestRequestIdentity:
 
     def test_garbage_header_values_are_replaced(self, server):
         status, _, headers = server.handle_request(
-            "GET", "/healthz", headers={REQUEST_ID_HEADER: "x" * 500}
+            "GET", "/v1/healthz", headers={REQUEST_ID_HEADER: "x" * 500}
         )
         assert status == 200
         echoed = headers[REQUEST_ID_HEADER]
@@ -109,7 +109,7 @@ class TestRequestIdentity:
     def test_propagation_disabled_omits_the_header(self):
         server = AnalysisServer(_config(trace_propagate=False))
         try:
-            status, _, headers = server.handle_request("GET", "/healthz")
+            status, _, headers = server.handle_request("GET", "/v1/healthz")
             assert status == 200
             assert REQUEST_ID_HEADER not in headers
         finally:
@@ -143,7 +143,7 @@ class TestFleetPropagation:
     def test_same_request_id_at_router_and_shard(self, traced_router):
         status, _, headers = traced_router.handle_request(
             "POST",
-            "/programs/p1",
+            "/v1/programs/p1",
             {"source": SOURCE},
             headers={REQUEST_ID_HEADER: "fleet-1"},
         )
@@ -165,7 +165,7 @@ class TestFleetPropagation:
     ):
         for index in range(3):
             status, _, _ = traced_router.handle_request(
-                "POST", f"/programs/p{index}", {"source": SOURCE}
+                "POST", f"/v1/programs/p{index}", {"source": SOURCE}
             )
             assert status == 200
         trace = traced_router.export_trace()
@@ -179,16 +179,16 @@ class TestFleetPropagation:
 
     def test_debug_trace_endpoint_serves_the_merged_trace(self, traced_router):
         traced_router.handle_request(
-            "POST", "/programs/p1", {"source": SOURCE}
+            "POST", "/v1/programs/p1", {"source": SOURCE}
         )
         status, payload, _ = traced_router.handle_request(
-            "GET", "/debug/trace"
+            "GET", "/v1/debug/trace"
         )
         assert status == 200
         assert validate_chrome_trace(payload) == []
 
     def test_trace_endpoint_404s_when_tracing_disabled(self, server):
-        status, _, _ = server.handle_request("GET", "/debug/trace")
+        status, _, _ = server.handle_request("GET", "/v1/debug/trace")
         assert status == 404
 
 
@@ -199,7 +199,7 @@ class TestValidateCLI:
         import json
 
         traced_router.handle_request(
-            "POST", "/programs/p1", {"source": SOURCE}
+            "POST", "/v1/programs/p1", {"source": SOURCE}
         )
         path = tmp_path / "fleet-trace.json"
         path.write_text(json.dumps(traced_router.export_trace()))
@@ -213,7 +213,7 @@ class TestValidateCLI:
 
         server = AnalysisServer(_config(serve_trace=True))
         try:
-            server.handle_request("POST", "/programs/p1", {"source": SOURCE})
+            server.handle_request("POST", "/v1/programs/p1", {"source": SOURCE})
             path = tmp_path / "solo-trace.json"
             path.write_text(json.dumps(server.export_trace()))
             assert validate_main([str(path)]) == 0

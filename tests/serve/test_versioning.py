@@ -1,13 +1,12 @@
-"""The /v1 API surface: versioned routes, deprecated aliases, the header.
+"""The /v1 API surface: every route lives under ``/v1``.
 
-Every endpoint's supported spelling lives under ``/v1``; the bare legacy
-paths answer identically but carry ``Deprecation: true`` so fleet
-operators can find stragglers in access logs and dashboards.  The router
-re-speaks ``/v1`` on the hop to its shards, so a fully-upgraded fleet's
-logs never show a deprecated request.
+A path without the prefix answers 404 with an error naming its ``/v1``
+spelling, through the same observability envelope as any other answer.
+The router speaks ``/v1`` on every hop to its shards.
 """
 
 import json
+import urllib.error
 import urllib.request
 
 import pytest
@@ -15,7 +14,7 @@ import pytest
 from repro.core.config import ICPConfig
 from repro.serve import (
     API_VERSION,
-    DEPRECATION_HEADER,
+    REQUEST_ID_HEADER,
     AnalysisServer,
     split_api_version,
 )
@@ -64,61 +63,46 @@ class TestSplit:
         assert API_VERSION == "v1"
 
 
-class TestAliases:
-    def test_v1_route_answers_without_deprecation(self, server):
-        status, payload, headers = server.handle_request(
+class TestUnversioned:
+    def test_v1_routes_answer(self, server):
+        status, _, _ = server.handle_request(
             "POST", "/v1/programs/p1", {"source": SOURCE}, {}
         )
         assert status == 200
-        assert DEPRECATION_HEADER not in headers
+        status, payload, _ = server.handle_request(
+            "GET", "/v1/programs/p1/report", None, {}
+        )
+        assert status == 200 and payload["report"]
+
+    def test_daemon_answers_404_naming_v1(self, server):
+        server.handle_request("POST", "/v1/programs/p1", {"source": SOURCE}, {})
         status, payload, headers = server.handle_request(
-            "GET", "/v1/programs/p1/report", None, {}
-        )
-        assert status == 200
-        assert DEPRECATION_HEADER not in headers
-
-    def test_legacy_route_answers_with_deprecation(self, server):
-        status, _, headers = server.handle_request(
-            "POST", "/programs/p1", {"source": SOURCE}, {}
-        )
-        assert status == 200
-        assert headers.get(DEPRECATION_HEADER) == "true"
-
-    def test_both_spellings_hit_the_same_resource(self, server):
-        server.handle_request(
-            "POST", "/v1/programs/p1", {"source": SOURCE}, {}
-        )
-        _, versioned, _ = server.handle_request(
-            "GET", "/v1/programs/p1/report", None, {}
-        )
-        _, legacy, _ = server.handle_request(
             "GET", "/programs/p1/report", None, {}
         )
-        assert versioned == legacy
+        assert status == 404
+        assert "/v1/programs/p1/report" in payload["error"]
+        assert headers[REQUEST_ID_HEADER]
 
-    def test_error_paths_are_versioned_too(self, server):
-        status, _, headers = server.handle_request(
-            "GET", "/v1/programs/ghost/report", None, {}
-        )
-        assert status == 404
-        assert DEPRECATION_HEADER not in headers
-        status, _, headers = server.handle_request(
-            "GET", "/programs/ghost/report", None, {}
-        )
-        assert status == 404
-        assert headers.get(DEPRECATION_HEADER) == "true"
+    def test_404_is_logged_and_counted(self, server):
+        server.handle_request("GET", "/healthz", None, {})
+        counters = server.obs.metrics.snapshot()["counters"]
+        assert counters["http.status.404"] == 1
+        _, payload, _ = server.handle_request("GET", "/v1/debug/last", None, {})
+        assert [(e["path"], e["status"]) for e in payload["entries"]] == [
+            ("/healthz", 404)
+        ]
+
+
+def _fetch(base, path):
+    try:
+        with urllib.request.urlopen(base + path, timeout=10) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
 
 
 class TestOverHTTP:
-    def _fetch(self, base, path):
-        with urllib.request.urlopen(base + path, timeout=10) as response:
-            return (
-                response.status,
-                response.headers,
-                json.loads(response.read()),
-            )
-
-    def test_daemon_serves_both_spellings(self):
+    def test_daemon_serves_v1_only(self):
         srv = AnalysisServer(
             ICPConfig.from_dict(
                 {
@@ -131,12 +115,10 @@ class TestOverHTTP:
         host, port = srv.start()
         base = f"http://{host}:{port}"
         try:
-            status, headers, payload = self._fetch(base, "/v1/healthz")
+            status, payload = _fetch(base, "/v1/healthz")
             assert status == 200 and payload["ok"] is True
-            assert headers.get(DEPRECATION_HEADER) is None
-            status, headers, payload = self._fetch(base, "/healthz")
-            assert status == 200 and payload["ok"] is True
-            assert headers.get(DEPRECATION_HEADER) == "true"
+            status, payload = _fetch(base, "/healthz")
+            assert status == 404 and "/v1/healthz" in payload["error"]
         finally:
             srv.close()
 
@@ -156,12 +138,9 @@ class TestOverHTTP:
         host, port = srv.start()
         base = f"http://{host}:{port}"
         try:
-            status, headers, payload = self._fetch(base, "/v1/healthz")
+            status, payload = _fetch(base, "/v1/healthz")
             assert status == 200 and payload["ok"] is True
-            assert headers.get(DEPRECATION_HEADER) is None
-            # Legacy spelling still answers at the front door...
-            status, headers, payload = self._fetch(base, "/healthz")
-            assert status == 200
-            assert headers.get(DEPRECATION_HEADER) == "true"
+            status, payload = _fetch(base, "/healthz")
+            assert status == 404 and "/v1/healthz" in payload["error"]
         finally:
             srv.close()

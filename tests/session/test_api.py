@@ -1,10 +1,11 @@
-"""The stable repro.api facade: exports, deprecation, config round-trip."""
+"""The stable repro.api facade: exports, aliases, config round-trip."""
 
+import os
 import warnings
 
 import pytest
 
-from repro.core.config import ICPConfig
+from repro.core.config import FIELDS, HINTS, ICPConfig
 
 
 class TestFacadeSurface:
@@ -31,31 +32,16 @@ class TestFacadeSurface:
             from repro.api import analyze, analyze_program
         assert analyze_program is analyze
 
+    def test_core_package_alias_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            from repro.core import analyze_program  # noqa: F401
+
     def test_analyze_works_through_facade(self):
         from repro.api import analyze
 
         result = analyze("proc main() { call f(3); } proc f(a) { print(a); }")
         assert ("f", "a") in result.fs_constant_formals()
-
-
-class TestDriverDeprecation:
-    def test_direct_driver_import_warns(self):
-        import repro.core.driver as driver
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            fn = driver.analyze_program
-        assert fn is driver.analyze
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.core.driver as driver
-
-        with pytest.raises(AttributeError):
-            driver.no_such_name
-
-    def test_core_package_alias_is_quiet(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.core import analyze_program  # noqa: F401
 
 
 class TestConfigRoundTrip:
@@ -125,3 +111,47 @@ class TestConfigRoundTrip:
         run = analyze_suite(["048.ora"], {"workers": 1, "cache": True})
         assert "048.ora" in run.results
         assert run.cache_stats is not None
+
+
+#: A value of the wrong type for each annotation (``bool`` is not an int).
+WRONG_TYPE = {bool: "false", int: True, float: True, str: 0}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_every_key_is_type_checked(name):
+    wrong = WRONG_TYPE.get(HINTS[name], 0)
+    with pytest.raises(ValueError, match=name):
+        ICPConfig.from_dict({name: wrong})
+    default = FIELDS[name].default
+    assert getattr(ICPConfig.from_dict({name: default}), name) == default
+
+
+def render_key_table():
+    """The docs/API.md key table, rendered from ICPConfig's fields."""
+    rows = [
+        "| Key | Type | Default | Allowed | Meaning |",
+        "|---|---|---|---|---|",
+    ]
+    for name, spec in FIELDS.items():
+        meta = spec.metadata
+        allowed = [f"`{choice}`" for choice in meta.get("choices", ())]
+        allowed += [
+            f"{op} {meta[bound]}"
+            for op, bound in (("≥", "min"), ("≤", "max"), (">", "above"))
+            if bound in meta
+        ]
+        rows.append(
+            f"| `{name}` | `{spec.type}` | `{spec.default!r}` "
+            f"| {', '.join(allowed)} | {meta['help']} |"
+        )
+    return "\n".join(rows)
+
+
+def test_api_doc_key_table_matches_the_fields():
+    path = os.path.join(os.path.dirname(__file__), "..", "..", "docs", "API.md")
+    with open(path, encoding="utf-8") as handle:
+        doc = handle.read()
+    begin, end = "<!-- config-keys:begin -->\n", "\n<!-- config-keys:end -->"
+    block = doc[doc.index(begin) + len(begin):doc.index(end)]
+    expected = render_key_table()
+    assert block == expected, f"docs/API.md key table should read:\n{expected}"

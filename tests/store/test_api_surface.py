@@ -1,12 +1,8 @@
-"""The redesigned store API surface: facade helpers, shims, config keys."""
-
-import importlib
-import warnings
+"""The redesigned store API surface: facade helpers and config keys."""
 
 import pytest
 
 import repro
-import repro.store.persist
 from repro.api import ICPConfig, connect_store, open_store
 from repro.sched.cache import SummaryCache
 from repro.store import PersistentCache, RemoteStore
@@ -55,30 +51,6 @@ class TestConnectStore:
             assert hasattr(repro, name), name
 
 
-class TestPersistShim:
-    def test_moved_import_warns_once_then_caches(self):
-        module = importlib.reload(repro.store.persist)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = module.PersistentCache
-            second = module.PersistentCache
-        assert first is second is PersistentCache
-        moved = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(moved) == 1
-        assert "repro.store.tiered" in str(moved[0].message)
-
-    def test_unknown_name_still_raises(self):
-        module = importlib.reload(repro.store.persist)
-        with pytest.raises(AttributeError):
-            module.no_such_thing
-
-    def test_dir_lists_moved_names(self):
-        module = importlib.reload(repro.store.persist)
-        assert "PersistentCache" in dir(module)
-
-
 class TestConfigKeys:
     def test_round_trip(self, tmp_path):
         data = {
@@ -86,19 +58,16 @@ class TestConfigKeys:
             "store_max_bytes": 1024,
             "store_remote_url": "http://127.0.0.1:8200",
             "store_remote_timeout_ms": 100,
-            "store_codec": "binary",
         }
         config = ICPConfig.from_dict(data)
         assert config.store_remote_url == "http://127.0.0.1:8200"
         assert config.store_remote_timeout_ms == 100
-        assert config.store_codec == "binary"
         assert ICPConfig.from_dict(config.to_dict()) == config
 
-    def test_defaults_keep_remote_and_codec_off(self):
+    def test_defaults_keep_remote_off(self):
         config = ICPConfig()
         assert config.store_remote_url is None
         assert config.store_remote_timeout_ms == 250
-        assert config.store_codec == "json"
 
     def test_remote_url_requires_store_dir(self):
         with pytest.raises(ValueError, match="store_dir"):
@@ -125,9 +94,3 @@ class TestConfigKeys:
                 ICPConfig.from_dict(
                     {**base, "store_remote_timeout_ms": bad}
                 )
-
-    def test_codec_must_be_known(self, tmp_path):
-        with pytest.raises(ValueError, match="codec"):
-            ICPConfig.from_dict(
-                {"store_dir": str(tmp_path / "s"), "store_codec": "msgpack"}
-            )

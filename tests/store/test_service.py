@@ -116,8 +116,8 @@ class TestIntrospection:
 
 
 class TestVersionedSurface:
-    """The wire surface is born versioned: /v1 everywhere, no aliases
-    advertised (handle_request still normalizes either spelling)."""
+    """The wire surface is born versioned: /v1 everywhere, and a path
+    without the prefix answers 404."""
 
     def test_v1_paths_dispatch(self, service):
         status, payload, headers = service.handle_request(
@@ -127,12 +127,12 @@ class TestVersionedSurface:
         assert payload["role"] == "summary-server"
         assert "Deprecation" not in headers
 
-    def test_unversioned_path_marked_deprecated(self, service):
-        status, _, headers = service.handle_request(
+    def test_unversioned_path_is_404(self, service):
+        status, payload, _ = service.handle_request(
             "GET", "/healthz", None, {}
         )
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
+        assert status == 404
+        assert "/v1/healthz" in payload["error"]
 
     def test_v1_summary_roundtrip_over_handle_request(self, service):
         status, _, _ = service.handle_request(

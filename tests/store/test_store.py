@@ -1,5 +1,6 @@
 """Persistent summary store: crash safety, eviction, warm reruns."""
 
+import dataclasses
 import json
 import os
 
@@ -8,12 +9,15 @@ import pytest
 from repro.api import ICPConfig, analyze
 from repro.core.driver import CompilationPipeline
 from repro.core.report import analysis_report
+from repro.ir.lattice import LatticeValue
 from repro.store import (
     STORE_VERSION,
     PersistentCache,
     SummaryStore,
     cache_from_config,
+    decode_entry,
     decode_intra,
+    encode_entry,
     encode_intra,
 )
 
@@ -26,6 +30,14 @@ proc sub1(f1) {
 }
 proc sub2(f2, f3, f4, f5) { t = f2 + f3 + f4 + f5; print(t); }
 """
+
+
+KEY = "ab" * 32
+
+
+@pytest.fixture(scope="module")
+def analyzed():
+    return CompilationPipeline(ICPConfig.from_dict({"cache": True})).run(SOURCE)
 
 
 def _config(store_dir, **extra):
@@ -98,10 +110,16 @@ class TestCrashSafety:
         store_dir = tmp_path / "store"
         entries = self._populate(store_dir)
         victim = os.path.join(str(store_dir), "entries", entries[0])
-        with open(victim, "wb") as handle:
-            handle.write(b"\x00\xff not json \xfe")
-        warm = analyze(SOURCE, _config(store_dir))
-        assert warm.sched.tasks_run == 1
+        # The second blob is in the removed binary layout (magic, version
+        # byte, payload): a store written by it degrades to a miss and a
+        # rewrite.
+        for garbage in (b"\x00\xff not json \xfe", b"ICPB\x01" + bytes(16)):
+            with open(victim, "wb") as handle:
+                handle.write(garbage)
+            warm = analyze(SOURCE, _config(store_dir))
+            assert warm.sched.tasks_run == 1
+            with open(victim, "r", encoding="utf-8") as handle:
+                assert json.loads(handle.read())["version"] == STORE_VERSION
 
     def test_miskeyed_entry_dropped(self, tmp_path):
         store_dir = tmp_path / "store"
@@ -226,3 +244,72 @@ class TestCodec:
         }
         assert type(values["a"]) is int
         assert type(values["b"]) is float
+
+    def test_exit_values_survive(self, analyzed):
+        intra = dataclasses.replace(
+            analyzed.fs.intra["sub2"],
+            exit_values={"t": LatticeValue(1, 5), "u": LatticeValue(1, 2.5)},
+        )
+        raw = encode_entry(KEY, "fs", intra)
+        decoded = decode_entry(raw, KEY, analyzed.symbols["sub2"])
+        assert decoded.exit_values == intra.exit_values
+
+    def test_arbitrary_precision_ints(self, analyzed):
+        # The evaluator folds past 64 bits; the codec must not truncate.
+        intra = analyzed.fs.intra["sub1"]
+        for const in ((1 << 200) + 7, -(1 << 200) - 7, 0, -1):
+            patched = dataclasses.replace(
+                intra, return_value=LatticeValue(1, const)
+            )
+            raw = encode_entry(KEY, "fs", patched)
+            decoded = decode_entry(raw, KEY, analyzed.symbols["sub1"])
+            assert decoded.return_value.const_value == const
+
+    def test_int_float_distinction(self, analyzed):
+        intra = analyzed.fs.intra["sub1"]
+        for const in (3, 3.0):
+            patched = dataclasses.replace(
+                intra, return_value=LatticeValue(1, const)
+            )
+            raw = encode_entry(KEY, "fs", patched)
+            decoded = decode_entry(raw, KEY, analyzed.symbols["sub1"])
+            assert type(decoded.return_value.const_value) is type(const)
+            assert decoded.return_value.const_value == const
+
+    def test_json_entries_still_plain_json(self, tmp_path):
+        store_dir = tmp_path / "store"
+        CompilationPipeline(_config(store_dir)).run(SOURCE)
+        store = SummaryStore(str(store_dir))
+        for key in list(store.blobs._sizes):
+            blob = json.loads(store.blobs.get(key).decode("utf-8"))
+            assert blob["version"] == STORE_VERSION
+
+
+class TestCorruption:
+    """A blob that does not decode for its key reads as ``None``."""
+
+    def _raw(self, analyzed, proc="sub1"):
+        return encode_entry(KEY, "fs", analyzed.fs.intra[proc])
+
+    def test_truncation_decodes_to_none(self, analyzed):
+        raw = self._raw(analyzed)
+        symbols = analyzed.symbols["sub1"]
+        for cut in (5, len(raw) // 2, len(raw) - 2):
+            assert decode_entry(raw[:cut], KEY, symbols) is None
+
+    def test_trailing_garbage_rejected(self, analyzed):
+        raw = self._raw(analyzed)
+        assert decode_entry(raw + b"\x00", KEY, analyzed.symbols["sub1"]) is None
+
+    def test_wrong_key_rejected(self, analyzed):
+        raw = self._raw(analyzed)
+        assert decode_entry(raw, "cd" * 32, analyzed.symbols["sub1"]) is None
+
+    def test_symbol_drift_rejected(self, analyzed):
+        # A sub1 entry against main's symbol table: sites cannot rebind.
+        raw = self._raw(analyzed, "sub1")
+        assert decode_entry(raw, KEY, analyzed.symbols["main"]) is None
+
+    def test_bare_magic_rejected(self, analyzed):
+        # The magic of the removed binary codec: a leftover blob is a miss.
+        assert decode_entry(b"ICPB", KEY, analyzed.symbols["sub1"]) is None

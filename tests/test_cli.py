@@ -73,6 +73,19 @@ class TestAnalyze:
             main(["analyze", source_file, "--context-mode", "k-cfa"])
 
 
+@pytest.mark.parametrize(
+    "command", ["analyze", "check", "graph", "optimize", "bench", "watch"]
+)
+def test_config_error_is_one_line(command, source_file, capsys):
+    target = "048.ora" if command == "bench" else source_file
+    argv = [command, target, "--context-max-per-proc", "0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: context_max_per_proc must be >= 1, got 0"
+    ]
+
+
 class TestOptimize:
     def test_prints_transformed_program(self, source_file, capsys):
         assert main(["optimize", source_file]) == 0
@@ -307,9 +320,8 @@ class TestBench:
         assert data["contexts"]["schema"] == "repro-icp/bench-contexts/v1"
 
     def test_negative_jobs_rejected(self, source_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["analyze", source_file, "--jobs", "-1"])
-        assert "must be >= 0" in capsys.readouterr().err
+        assert main(["analyze", source_file, "--jobs", "-1"]) == 1
+        assert "workers" in capsys.readouterr().err
 
 
 class TestWatch:
