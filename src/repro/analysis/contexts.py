@@ -60,7 +60,6 @@ recorder-based sanitizer verifies this empirically in both modes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -83,6 +82,7 @@ from repro.sched.cache import (
     env_fingerprint,
     procedure_fingerprint,
 )
+from repro.sched.pool import serial_engine_run
 from repro.sched.scheduler import AnalysisTask, Scheduler
 from repro.summary.alias import AliasInfo
 from repro.summary.modref import ModRefInfo
@@ -383,32 +383,15 @@ class _Tabulation:
         if self.scheduler is not None:
             self._analyze_scheduled(batch)
             return
-        tracer = self.obs.tracer
         for ctx in batch:
-            proc = self.proc_map[ctx.proc_name]
-            proc_symbols = self.symbols[ctx.proc_name]
-            started = time.perf_counter()
-            if tracer.enabled:
-                with tracer.span(
-                    "engine", cat="engine", proc=ctx.proc_name,
-                    pass_label="fs", engine=self.engine.name,
-                    context=ctx.env_fp,
-                ):
-                    intra = self.engine.analyze(
-                        proc, proc_symbols, dict(ctx.env), self.effects
-                    )
-            else:
-                intra = self.engine.analyze(
-                    proc, proc_symbols, dict(ctx.env), self.effects
-                )
-            elapsed = time.perf_counter() - started
-            self.result.intra_seconds += elapsed
+            intra, seconds = serial_engine_run(
+                self.obs, self.engine, "fs", self.proc_map[ctx.proc_name],
+                self.symbols[ctx.proc_name], dict(ctx.env), self.effects,
+                context=ctx.env_fp,
+            )
+            self.result.intra_seconds += seconds
             ctx.intra = intra
             ctx.runs += 1
-            if self.obs.enabled:
-                from repro.core.flow_sensitive import _observe_serial_run
-
-                _observe_serial_run(self.obs, ctx.proc_name, intra, elapsed)
 
     def _analyze_scheduled(self, batch: List[Context]) -> None:
         # Lazy import: flow_sensitive imports this module for mode dispatch.

@@ -25,7 +25,7 @@ one argparse parent; ``--cache-stats`` also prints the summary cache's
 hit/miss/invalidation counters.  Observability flags: ``--trace
 OUT.json`` exports a Chrome ``trace_event`` file (open in
 ``chrome://tracing`` or Perfetto), ``--metrics-json OUT.json`` snapshots
-the unified metrics registry, and ``--profile`` prints per-phase wall/CPU
+the unified metrics registry, and ``--profile`` prints per-phase wall
 timings plus the hot-procedure table.
 """
 
@@ -916,7 +916,7 @@ def _obs_parent() -> argparse.ArgumentParser:
                         help="write a JSON snapshot of the unified metrics "
                              "registry (scheduler, cache, SCC counters)")
     parent.add_argument("--profile", action="store_true",
-                        help="collect per-phase wall/CPU timings and print "
+                        help="collect per-phase wall timings and print "
                              "the hot-procedure report")
     return parent
 

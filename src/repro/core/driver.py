@@ -9,14 +9,24 @@
     5. Perform Interprocedural Constant Prop. (FI and FS, this package)
     6. Perform Reverse Topological Traversal  (USE + returns + transform)
 
-Each phase is timed; the paper's Section 4 compile-time claim (FS analysis
-costs ~1.5x FI) is measured against these timings by the benchmark harness.
+This module holds the one copy of that sequence, in two halves:
+:func:`whole_program_phases` (steps 1–5 up to flow-insensitive ICP) and
+:func:`engine_phases` (flow-sensitive ICP and step 6).
+:class:`CompilationPipeline` runs both; an incremental session runs its
+dirty-region step between them; the serve daemon's flow-insensitive
+fallback runs the first only.  :func:`timed_phase` is each phase's one
+clock: the paper's Section 4 compile-time claim (FS analysis costs ~1.5x
+FI) is measured against the ``timings`` it records.
+
+Both halves look the phase functions up in this module's globals at call
+time; perfbench's traced run rebinds them here to record its layer spans.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Union
 
 from repro.analysis import make_engine
@@ -25,19 +35,19 @@ from repro.callgraph.pcg import PCG, build_pcg
 from repro.core.config import ICPConfig
 from repro.core.effects import SummaryEffects
 from repro.core.flow_insensitive import FIResult, flow_insensitive_icp
-from repro.core.flow_sensitive import FSResult, flow_sensitive_icp
-from repro.core.returns import ReturnsResult, compute_returns
+from repro.core.flow_sensitive import FSResult, FSReuse, flow_sensitive_icp
+from repro.core.returns import ExitValueEffects, ReturnsResult, compute_returns
 from repro.ir.lattice import BOTTOM, LatticeValue
 from repro.lang import ast
 from repro.lang.parser import parse_program
 from repro.lang.symbols import ProcedureSymbols, collect_symbols
 from repro.lang.validate import validate_program
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, Observability, Tracer
 from repro.sched.cache import SummaryCache
 from repro.sched.scheduler import Scheduler, SchedulerStats
 from repro.summary.alias import AliasInfo, compute_aliases
 from repro.summary.modref import ModRefInfo, compute_modref
-from repro.summary.use import UseInfo, compute_use
+from repro.summary.use import UseInfo, UseReuse, compute_use
 
 
 @dataclass
@@ -118,6 +128,193 @@ class PipelineResult:
         return "\n".join(lines)
 
 
+@dataclass
+class WholeProgram:
+    """The whole-program half's products: Figure 2 steps 1–5 up to FI ICP.
+
+    :func:`engine_phases` finishes them into a :class:`PipelineResult`;
+    ``timings`` is the dict both halves (and a session's ``dirty`` step)
+    record into.
+    """
+
+    program: ast.Program
+    symbols: Dict[str, ProcedureSymbols]
+    pcg: PCG
+    aliases: AliasInfo
+    modref: ModRefInfo
+    fi: FIResult
+    timings: Dict[str, float]
+
+
+def timed_phase(
+    timings: Dict[str, float], tracer: Tracer, name: str, fn, *args, **kwargs
+):
+    """Run ``fn(*args, **kwargs)`` as phase ``name``: the phase's one clock.
+
+    The phase's wall seconds land in ``timings[name]``; a live tracer also
+    records it as a ``phase`` span.
+    """
+    started = time.perf_counter()
+    with tracer.span(name, cat="phase"):
+        value = fn(*args, **kwargs)
+    timings[name] = time.perf_counter() - started
+    return value
+
+
+def whole_program_phases(
+    source: Union[str, ast.Program],
+    config: ICPConfig,
+    obs: Observability = NULL_OBS,
+) -> WholeProgram:
+    """Parse (for text), validate, collect, PCG, alias, MOD/REF, FI ICP.
+
+    None of these passes runs the intraprocedural engine.  The serve
+    daemon's flow-insensitive fallback stops here.
+    """
+    timings: Dict[str, float] = {}
+    phase = partial(timed_phase, timings, obs.tracer)
+
+    # 1. Collect IPA inputs.
+    if isinstance(source, str):
+        program = phase("parse", parse_program, source)
+    else:
+        program = source
+    phase(
+        "validate", validate_program, program,
+        require_main=(config.entry == "main"),
+        allow_missing=config.allow_missing,
+    )
+    symbols = phase("collect", collect_symbols, program)
+
+    # 2. Program call graph.
+    pcg = phase("pcg", build_pcg, program, symbols, config.entry)
+    if pcg.missing_callees and not config.allow_missing:
+        raise ValueError(
+            f"calls to missing procedures: {sorted(pcg.missing_callees)}"
+        )
+
+    # 3. Interprocedural aliasing.
+    aliases = phase("alias", compute_aliases, program, symbols, pcg)
+
+    # 4. Interprocedural MOD and REF.
+    modref = phase("modref", compute_modref, program, symbols, pcg, aliases)
+
+    # 5. Interprocedural constant propagation, flow-insensitive part.
+    fi = phase(
+        "icp_fi", flow_insensitive_icp, program, symbols, pcg, modref, config
+    )
+    return WholeProgram(program, symbols, pcg, aliases, modref, fi, timings)
+
+
+def engine_phases(
+    front: WholeProgram,
+    config: ICPConfig,
+    obs: Observability = NULL_OBS,
+    cache: Optional[SummaryCache] = None,
+    run_transform: bool = False,
+    fs_reuse: Optional[FSReuse] = None,
+    use_reuse: Optional[UseReuse] = None,
+) -> PipelineResult:
+    """Flow-sensitive ICP, USE, returns and transform over ``front``.
+
+    One scheduler (behind ``cache``) runs the engine passes.  An
+    incremental session passes its clean region as ``fs_reuse`` and
+    ``use_reuse``.  The run's ``timings`` go to the profiler once, here.
+    """
+    program, symbols, pcg = front.program, front.symbols, front.pcg
+    aliases, modref, fi = front.aliases, front.modref, front.fi
+    timings = front.timings
+    phase = partial(timed_phase, timings, obs.tracer)
+    scheduler = Scheduler.from_config(config, cache=cache, obs=obs)
+    engine = make_engine(config.engine)
+    try:
+        # 5. Interprocedural constant propagation, flow-sensitive part.
+        fs = phase(
+            "icp_fs", flow_sensitive_icp,
+            program, symbols, pcg, modref, aliases, fi, config, engine,
+            scheduler=scheduler, reuse=fs_reuse,
+        )
+
+        # 6. Reverse topological traversal: USE, returns, transformation.
+        use = phase(
+            "use", compute_use, program, symbols, pcg, modref,
+            scheduler=scheduler, reuse=use_reuse,
+        )
+        returns: Optional[ReturnsResult] = None
+        if config.propagate_returns or config.propagate_exit_values:
+            returns = phase(
+                "returns", compute_returns,
+                program, symbols, pcg, modref, fs, fi, aliases, config, engine,
+                with_exit_values=config.propagate_exit_values,
+                scheduler=scheduler,
+            )
+    finally:
+        sched_stats = scheduler.finish()
+
+    transform: Optional[TransformResult] = None
+    if run_transform:
+        transform = phase(
+            "transform", _transform,
+            program, symbols, modref, aliases, fs, returns, config,
+        )
+
+    obs.profiler.record_phases(timings)
+    return PipelineResult(
+        program=program,
+        symbols=symbols,
+        pcg=pcg,
+        aliases=aliases,
+        modref=modref,
+        use=use,
+        fi=fi,
+        fs=fs,
+        returns=returns,
+        transform=transform,
+        timings=timings,
+        config=config,
+        sched=sched_stats,
+        obs=obs if obs.enabled else None,
+    )
+
+
+def _transform(
+    program: ast.Program,
+    symbols: Dict[str, ProcedureSymbols],
+    modref: ModRefInfo,
+    aliases: AliasInfo,
+    fs: FSResult,
+    returns: Optional[ReturnsResult],
+    config: ICPConfig,
+) -> TransformResult:
+    """Rewrite ``program`` with the FS entry constants (and returns)."""
+    if returns is not None and config.propagate_exit_values:
+        effects: SummaryEffects = ExitValueEffects(
+            modref, aliases, returns.fs_returns, returns.exit_values,
+            symbols, program.global_names, config,
+        )
+    elif returns is not None:
+        fs_returns = returns.fs_returns
+        effects = SummaryEffects(
+            modref,
+            aliases,
+            lambda site: fs_returns.get(site.callee, BOTTOM),
+        )
+    else:
+        effects = SummaryEffects(modref, aliases)
+    entry_envs = {
+        proc: fs.entry_env(proc, symbols[proc])
+        for proc in fs.intra
+    }
+    return transform_program(
+        program,
+        symbols,
+        entry_envs,
+        effects,
+        prune_dead_branches=config.prune_dead_branches,
+        insert_entry_assignments=config.insert_entry_assignments,
+    )
+
+
 class CompilationPipeline:
     """Runs the Figure 2 phases in order over a MiniF program.
 
@@ -148,172 +345,20 @@ class CompilationPipeline:
         run_transform: bool = False,
     ) -> PipelineResult:
         """Execute the pipeline over MiniF ``source`` (text or parsed AST)."""
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return self._run_phases(source, run_transform)
-        with tracer.span(
+        config = self.config
+        with self.obs.tracer.span(
             "pipeline",
             cat="pipeline",
-            entry=self.config.entry,
-            engine=self.config.engine,
-            workers=self.config.workers,
-            executor=self.config.executor,
-            cache=self.config.cache,
+            entry=config.entry,
+            engine=config.engine,
+            workers=config.workers,
+            executor=config.executor,
+            cache=config.cache,
         ):
-            return self._run_phases(source, run_transform)
-
-    def _run_phases(
-        self,
-        source: Union[str, ast.Program],
-        run_transform: bool,
-    ) -> PipelineResult:
-        config = self.config
-        obs = self.obs
-        timings: Dict[str, float] = {}
-        scheduler = Scheduler.from_config(config, cache=self.cache, obs=obs)
-
-        if obs.enabled:
-            def timed(name: str, thunk):
-                started = time.perf_counter()
-                with obs.tracer.span(name, cat="phase"), obs.profiler.phase(name):
-                    value = thunk()
-                timings[name] = time.perf_counter() - started
-                return value
-        else:
-            def timed(name: str, thunk):
-                started = time.perf_counter()
-                value = thunk()
-                timings[name] = time.perf_counter() - started
-                return value
-
-        # 1. Collect IPA inputs.
-        if isinstance(source, str):
-            program = timed("parse", lambda: parse_program(source))
-        else:
-            program = source
-        timed(
-            "validate",
-            lambda: validate_program(
-                program,
-                require_main=(config.entry == "main"),
-                allow_missing=config.allow_missing,
-            ),
-        )
-        symbols = timed("collect", lambda: collect_symbols(program))
-
-        # 2. Program call graph.
-        pcg = timed("pcg", lambda: build_pcg(program, symbols, config.entry))
-        if pcg.missing_callees and not config.allow_missing:
-            raise ValueError(
-                f"calls to missing procedures: {sorted(pcg.missing_callees)}"
+            front = whole_program_phases(source, config, self.obs)
+            return engine_phases(
+                front, config, self.obs, self.cache, run_transform
             )
-
-        # 3. Interprocedural aliasing.
-        aliases = timed("alias", lambda: compute_aliases(program, symbols, pcg))
-
-        # 4. Interprocedural MOD and REF.
-        modref = timed(
-            "modref", lambda: compute_modref(program, symbols, pcg, aliases)
-        )
-
-        # 5. Interprocedural constant propagation.
-        fi = timed(
-            "icp_fi",
-            lambda: flow_insensitive_icp(program, symbols, pcg, modref, config),
-        )
-        engine = make_engine(config.engine)
-        try:
-            fs = timed(
-                "icp_fs",
-                lambda: flow_sensitive_icp(
-                    program, symbols, pcg, modref, aliases, fi, config, engine,
-                    scheduler=scheduler,
-                ),
-            )
-
-            # 6. Reverse topological traversal: USE, returns, transformation.
-            use = timed(
-                "use",
-                lambda: compute_use(
-                    program, symbols, pcg, modref, scheduler=scheduler
-                ),
-            )
-            returns: Optional[ReturnsResult] = None
-            if config.propagate_returns or config.propagate_exit_values:
-                returns = timed(
-                    "returns",
-                    lambda: compute_returns(
-                        program, symbols, pcg, modref, fs, fi, aliases, config,
-                        engine, with_exit_values=config.propagate_exit_values,
-                        scheduler=scheduler,
-                    ),
-                )
-        finally:
-            sched_stats = scheduler.finish()
-
-        transform: Optional[TransformResult] = None
-        if run_transform:
-            transform = timed(
-                "transform",
-                lambda: self._run_transform(
-                    program, symbols, modref, aliases, fs, returns
-                ),
-            )
-
-        return PipelineResult(
-            program=program,
-            symbols=symbols,
-            pcg=pcg,
-            aliases=aliases,
-            modref=modref,
-            use=use,
-            fi=fi,
-            fs=fs,
-            returns=returns,
-            transform=transform,
-            timings=timings,
-            config=self.config,
-            sched=sched_stats,
-            obs=self.obs if self.obs.enabled else None,
-        )
-
-    def _run_transform(
-        self,
-        program: ast.Program,
-        symbols: Dict[str, ProcedureSymbols],
-        modref: ModRefInfo,
-        aliases: AliasInfo,
-        fs: FSResult,
-        returns: Optional[ReturnsResult],
-    ) -> TransformResult:
-        if returns is not None and self.config.propagate_exit_values:
-            from repro.core.returns import ExitValueEffects
-
-            effects: SummaryEffects = ExitValueEffects(
-                modref, aliases, returns.fs_returns, returns.exit_values,
-                symbols, program.global_names, self.config,
-            )
-        elif returns is not None:
-            fs_returns = returns.fs_returns
-            effects = SummaryEffects(
-                modref,
-                aliases,
-                lambda site: fs_returns.get(site.callee, BOTTOM),
-            )
-        else:
-            effects = SummaryEffects(modref, aliases)
-        entry_envs = {
-            proc: fs.entry_env(proc, symbols[proc])
-            for proc in fs.intra
-        }
-        return transform_program(
-            program,
-            symbols,
-            entry_envs,
-            effects,
-            prune_dead_branches=self.config.prune_dead_branches,
-            insert_entry_assignments=self.config.insert_entry_assignments,
-        )
 
 
 def analyze(
@@ -326,4 +371,3 @@ def analyze(
     return CompilationPipeline(config, obs=obs).run(
         source, run_transform=run_transform
     )
-

@@ -25,7 +25,6 @@ edges the result equals the iterative flow-sensitive fixpoint.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -45,6 +44,7 @@ from repro.sched.cache import (
     env_fingerprint,
     procedure_fingerprint,
 )
+from repro.sched.pool import serial_engine_run
 from repro.sched.scheduler import AnalysisTask, Scheduler
 from repro.summary.alias import AliasInfo
 from repro.summary.modref import ModRefInfo
@@ -184,46 +184,20 @@ def flow_sensitive_icp(
         return result
 
     obs = scheduler.obs if scheduler is not None else NULL_OBS
-    tracer = obs.tracer
     for position, proc_name in enumerate(pcg.rpo):
-        proc = proc_map[proc_name]
         proc_symbols = symbols[proc_name]
         entry_env = _build_entry_env(
             proc_name, position, proc_symbols, program, pcg, modref,
             fi, config, result, analyzed,
         )
-        started = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span(
-                "engine", cat="engine", proc=proc_name,
-                pass_label="fs", engine=engine.name,
-            ):
-                intra = engine.analyze(proc, proc_symbols, entry_env, effects)
-        else:
-            intra = engine.analyze(proc, proc_symbols, entry_env, effects)
-        elapsed = time.perf_counter() - started
-        result.intra_seconds += elapsed
+        intra, seconds = serial_engine_run(
+            obs, engine, "fs", proc_map[proc_name], proc_symbols, entry_env,
+            effects,
+        )
+        result.intra_seconds += seconds
         result.intra[proc_name] = intra
         analyzed.add(proc_name)
-        if obs.enabled:
-            _observe_serial_run(obs, proc_name, intra, elapsed)
     return result
-
-
-def _observe_serial_run(obs, proc_name: str, intra, seconds: float) -> None:
-    """Feed one serial engine run to the observability context."""
-    detail = intra.detail
-    visits = getattr(detail, "visits", None)
-    obs.profiler.record_procedure(
-        proc_name, seconds,
-        ssa_size=getattr(detail, "ssa_size", None), visits=visits,
-    )
-    metrics = obs.metrics
-    if metrics.enabled:
-        metrics.histogram("engine.task_seconds").observe(seconds)
-        if visits:
-            for key, value in visits.items():
-                metrics.counter(f"scc.{key}").inc(value)
 
 
 def _scheduled_forward(

@@ -31,12 +31,14 @@ from repro.core.flow_sensitive import FSResult, fs_effects_fingerprint
 from repro.ir.lattice import BOTTOM, TOP, LatticeValue, meet
 from repro.lang import ast
 from repro.lang.symbols import CallSite, ProcedureSymbols
+from repro.obs import NULL_OBS
 from repro.sched.cache import (
     config_fingerprint,
     env_fingerprint,
     procedure_fingerprint,
     value_token,
 )
+from repro.sched.pool import serial_engine_run
 from repro.sched.scheduler import AnalysisTask, Scheduler
 from repro.summary.alias import AliasInfo
 from repro.summary.modref import ModRefInfo
@@ -185,6 +187,8 @@ def compute_returns(
     # Reverse topological traversal: callees first.  The effects see the
     # tables as they fill, so a procedure's exit values benefit from its
     # (already processed) callees' exit values.
+    obs = scheduler.obs if scheduler is not None else NULL_OBS
+    pass_label = "returns-exit" if with_exit_values else "returns"
     table: Dict[str, LatticeValue] = {}
     if with_exit_values:
         effects: _ReturnProviderEffects = ExitValueEffects(
@@ -194,7 +198,6 @@ def compute_returns(
     else:
         effects = _ReturnProviderEffects(modref, aliases, table, config)
     for proc_name in reversed(pcg.rpo):
-        proc = proc_map[proc_name]
         # Callees later in RPO are already in `table`; earlier ones (back
         # edges of the reverse traversal) fall back to the FI solution.
         for edge in pcg.edges_out_of(proc_name):
@@ -207,9 +210,9 @@ def compute_returns(
             record_exit_vars = {
                 var for var in modref.mod_of(proc_name) if var in visible
             }
-        intra = engine.analyze(
-            proc, symbols[proc_name], entry_env, effects,
-            record_exit_vars=record_exit_vars,
+        intra, _ = serial_engine_run(
+            obs, engine, pass_label, proc_map[proc_name], symbols[proc_name],
+            entry_env, effects, record_exit_vars=record_exit_vars,
         )
         value = config.admit(intra.return_value)
         table[proc_name] = value

@@ -7,8 +7,12 @@ that the pipeline threads through its phases:
   export (``--trace OUT.json``) and a human-readable tree;
 - :mod:`repro.obs.metrics` — unified registry of counters, gauges, and
   histograms, snapshottable to JSON (``--metrics-json OUT.json``);
-- :mod:`repro.obs.profile` — per-phase wall/CPU timings and the
-  hot-procedure report (``--profile``).
+- :mod:`repro.obs.profile` — per-phase wall timings, summed from the
+  pipeline's ``timings``, and the hot-procedure report (``--profile``).
+
+Every intraprocedural engine run, serial or scheduled, reaches the
+profiler and the registry through one call,
+:meth:`Observability.record_engine_run`.
 
 Around them, the fleet-facing pieces: :mod:`repro.obs.log` (structured
 JSON-lines request logging with a ``/debug/last`` ring),
@@ -24,6 +28,7 @@ truthiness check and nothing else when observability is off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.obs.log import NULL_LOG, StructuredLog
 from repro.obs.metrics import (
@@ -80,6 +85,24 @@ class Observability:
             or self.metrics.enabled
             or self.profiler.enabled
         )
+
+    def record_engine_run(self, proc: str, seconds: float, detail: Any) -> None:
+        """Feed one engine run of ``proc`` to the profiler and the registry.
+
+        ``detail`` is the run's ``IntraResult.detail``; the SCC engine's
+        carries the SSA size and visit counters.
+        """
+        visits = getattr(detail, "visits", None)
+        self.profiler.record_procedure(
+            proc, seconds,
+            ssa_size=getattr(detail, "ssa_size", None), visits=visits,
+        )
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.histogram("engine.task_seconds").observe(seconds)
+            if visits:
+                for key, value in visits.items():
+                    metrics.counter(f"scc.{key}").inc(value)
 
     @classmethod
     def create(

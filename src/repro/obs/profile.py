@@ -2,11 +2,14 @@
 
 A :class:`Profiler` collects
 
-- per-phase wall *and* CPU time (``time.perf_counter`` /
-  ``time.process_time``) for every Figure 2 pipeline phase,
+- per-phase wall time for every Figure 2 pipeline phase, summed over
+  runs: the pipeline clocks each phase once (``PipelineResult.timings``)
+  and hands the profiler a finished run's timings through
+  :meth:`Profiler.record_phases`;
 - per-procedure engine time: every intraprocedural analysis reports its
-  duration (and, for the SCC engine, its SSA size and visit counts), which
-  accumulate into per-procedure totals and a global histogram, and
+  duration (and, for the SCC engine, its SSA size and visit counts) through
+  :meth:`repro.obs.Observability.record_engine_run`, which accumulate into
+  per-procedure totals, and
 - an opt-in **hot procedure** report ranking procedures by total engine
   time alongside their run counts and SSA sizes — the "where does the
   analysis spend its time" table that scaling work starts from.
@@ -19,19 +22,15 @@ recording.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-from repro.obs.metrics import Histogram
+from typing import Dict, List, Mapping, Optional
 
 
 @dataclass
 class PhaseTiming:
-    """Accumulated wall/CPU seconds of one pipeline phase."""
+    """Accumulated wall seconds of one pipeline phase."""
 
     wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
     count: int = 0
 
 
@@ -48,41 +47,6 @@ class ProcedureProfile:
     visits: Dict[str, int] = field(default_factory=dict)
 
 
-class _PhaseSpan:
-    __slots__ = ("_profiler", "_name", "_wall", "_cpu")
-
-    def __init__(self, profiler: "Profiler", name: str):
-        self._profiler = profiler
-        self._name = name
-        self._wall = 0.0
-        self._cpu = 0.0
-
-    def __enter__(self) -> "_PhaseSpan":
-        self._wall = time.perf_counter()
-        self._cpu = time.process_time()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._profiler._record_phase(
-            self._name,
-            time.perf_counter() - self._wall,
-            time.process_time() - self._cpu,
-        )
-
-
-class _NullPhaseSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhaseSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_PHASE = _NullPhaseSpan()
-
-
 class Profiler:
     """Collects phase and per-procedure timing for one or more runs."""
 
@@ -91,27 +55,20 @@ class Profiler:
         self._lock = threading.Lock()
         self.phases: Dict[str, PhaseTiming] = {}
         self.procedures: Dict[str, ProcedureProfile] = {}
-        #: Distribution of individual engine-run durations (seconds).
-        self.task_seconds = Histogram("profile.task_seconds")
 
     # ------------------------------------------------------------------
     # Recording.
     # ------------------------------------------------------------------
 
-    def phase(self, name: str):
-        """Context manager timing one pipeline phase (wall + CPU)."""
+    def record_phases(self, timings: Mapping[str, float]) -> None:
+        """Add one pipeline run's per-phase wall seconds to the table."""
         if not self.enabled:
-            return _NULL_PHASE
-        return _PhaseSpan(self, name)
-
-    def _record_phase(self, name: str, wall: float, cpu: float) -> None:
+            return
         with self._lock:
-            timing = self.phases.get(name)
-            if timing is None:
-                timing = self.phases[name] = PhaseTiming()
-            timing.wall_seconds += wall
-            timing.cpu_seconds += cpu
-            timing.count += 1
+            for name, seconds in timings.items():
+                timing = self.phases.setdefault(name, PhaseTiming())
+                timing.wall_seconds += seconds
+                timing.count += 1
 
     def record_procedure(
         self,
@@ -134,7 +91,6 @@ class Profiler:
             if visits:
                 for key, value in visits.items():
                     profile.visits[key] = profile.visits.get(key, 0) + value
-        self.task_seconds.observe(seconds)
 
     # ------------------------------------------------------------------
     # Reporting.
@@ -170,43 +126,18 @@ class Profiler:
         return "\n".join(lines)
 
     def phase_report(self) -> str:
-        """Per-phase wall/CPU timing table, in recording order."""
+        """Per-phase wall timing table, in recording order."""
         lines = [
             "phase timings:",
-            f"  {'phase':<12} {'wall(s)':>10} {'cpu(s)':>10} {'runs':>5}",
+            f"  {'phase':<12} {'wall(s)':>10} {'runs':>5}",
         ]
         with self._lock:
             items = list(self.phases.items())
         for name, timing in items:
             lines.append(
-                f"  {name:<12} {timing.wall_seconds:>10.6f} "
-                f"{timing.cpu_seconds:>10.6f} {timing.count:>5}"
+                f"  {name:<12} {timing.wall_seconds:>10.6f} {timing.count:>5}"
             )
         return "\n".join(lines)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A JSON-serializable view (phases + per-procedure totals)."""
-        with self._lock:
-            return {
-                "phases": {
-                    name: {
-                        "wall_seconds": timing.wall_seconds,
-                        "cpu_seconds": timing.cpu_seconds,
-                        "count": timing.count,
-                    }
-                    for name, timing in self.phases.items()
-                },
-                "procedures": {
-                    profile.name: {
-                        "engine_seconds": profile.engine_seconds,
-                        "runs": profile.runs,
-                        "ssa_size": profile.ssa_size,
-                        "visits": dict(profile.visits),
-                    }
-                    for profile in self.procedures.values()
-                },
-                "task_seconds": self.task_seconds.summary(),
-            }
 
 
 #: Shared disabled profiler.

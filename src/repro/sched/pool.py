@@ -88,6 +88,31 @@ def traced_task_runner(tracer):
     return run
 
 
+def serial_engine_run(
+    obs, engine, pass_label: str, proc, symbols, entry_env, effects,
+    record_exit_vars=None, **span_attrs,
+):
+    """One engine run of a serial traversal, observed like a scheduled one.
+
+    The run is timed, traced as the thread runner traces a task (an
+    ``engine`` span carrying ``pass_label``, plus ``span_attrs``), and fed
+    to :meth:`~repro.obs.Observability.record_engine_run`.  Returns the
+    :class:`IntraResult` and its engine seconds.
+    """
+    started = time.perf_counter()
+    with obs.tracer.span(
+        "engine", cat="engine", proc=proc.name, pass_label=pass_label,
+        engine=engine.name, **span_attrs,
+    ):
+        intra = engine.analyze(
+            proc, symbols, entry_env, effects, record_exit_vars=record_exit_vars
+        )
+    seconds = time.perf_counter() - started
+    if obs.enabled:
+        obs.record_engine_run(proc.name, seconds, intra.detail)
+    return intra, seconds
+
+
 class TaskPool:
     """A lazily created ``concurrent.futures`` pool with a serial fast path.
 

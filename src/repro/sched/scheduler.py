@@ -212,6 +212,10 @@ class Scheduler:
             # Worker threads share the coordinator's clock: record real
             # engine spans on each worker's own trace track.
             runner = traced_task_runner(tracer)
+        # Worker processes live in another clock domain: their engine spans
+        # are synthesized below from the worker-measured durations, rebased
+        # at the level's start on a virtual worker track.
+        synthesize = tracer.enabled and self._pool.kind == "process"
         pass_label = tasks[0].pass_label if tasks else "?"
         with tracer.span(
             "wavefront-level",
@@ -234,45 +238,19 @@ class Scheduler:
             self.stats.tasks_run += 1
             self.stats.analysis_seconds += seconds
             if obs.enabled:
-                self._observe_task(task, intra, seconds, index, level_started)
+                obs.record_engine_run(task.proc_name, seconds, intra.detail)
+            if synthesize:
+                tracer.complete(
+                    "engine",
+                    level_started,
+                    seconds,
+                    tid=f"process-worker-{index % self.workers}",
+                    proc=task.proc_name,
+                    pass_label=task.pass_label,
+                    engine=task.engine,
+                    clock="synthesized",
+                )
         return results
-
-    def _observe_task(
-        self,
-        task: AnalysisTask,
-        intra: IntraResult,
-        seconds: float,
-        index: int,
-        level_started: float,
-    ) -> None:
-        """Feed one executed task's outcome to the observability context."""
-        obs = self.obs
-        detail = intra.detail
-        visits = getattr(detail, "visits", None)
-        ssa_size = getattr(detail, "ssa_size", None)
-        obs.profiler.record_procedure(
-            task.proc_name, seconds, ssa_size=ssa_size, visits=visits
-        )
-        metrics = obs.metrics
-        if metrics.enabled:
-            metrics.histogram("engine.task_seconds").observe(seconds)
-            if visits:
-                for key, value in visits.items():
-                    metrics.counter(f"scc.{key}").inc(value)
-        if obs.tracer.enabled and self._pool.kind == "process":
-            # Worker processes live in another clock domain: synthesize the
-            # engine span from the worker-measured duration, rebased at the
-            # level's start on a virtual worker track.
-            obs.tracer.complete(
-                "engine",
-                level_started,
-                seconds,
-                tid=f"process-worker-{index % self.workers}",
-                proc=task.proc_name,
-                pass_label=task.pass_label,
-                engine=task.engine,
-                clock="synthesized",
-            )
 
     def map(self, fn, payloads: Sequence, label: Optional[str] = None) -> List:
         """Plain (uncached) parallel map for non-engine level work."""

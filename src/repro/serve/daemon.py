@@ -73,6 +73,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.config import ICPConfig
+from repro.core.driver import whole_program_phases
 from repro.errors import ReproError
 from repro.obs import NULL_LOG, NULL_OBS, Observability, StructuredLog
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
@@ -636,35 +637,18 @@ class AnalysisServer(JSONHTTPFront):
     def _fi_solution(self, source: str) -> Dict[str, Any]:
         """The cheap, engine-free solution a deadline-exceeded analyze gets.
 
-        Runs only the linear whole-program passes (parse, symbols, PCG,
-        aliasing, MOD/REF, flow-insensitive ICP) on the handler thread —
-        sound, less precise, and fast enough to answer under pressure.
+        Runs only the pipeline's linear whole-program half (parse,
+        validate, symbols, PCG, aliasing, MOD/REF, flow-insensitive ICP) on
+        the handler thread — sound, less precise, and fast enough to answer
+        under pressure.
         """
-        from repro.callgraph.pcg import build_pcg
-        from repro.core.flow_insensitive import flow_insensitive_icp
-        from repro.lang.parser import parse_program
-        from repro.lang.symbols import collect_symbols
-        from repro.lang.validate import validate_program
-        from repro.summary.alias import compute_aliases
-        from repro.summary.modref import compute_modref
-
-        config = self.config
-        program = parse_program(source)
-        validate_program(
-            program,
-            require_main=(config.entry == "main"),
-            allow_missing=config.allow_missing,
-        )
-        symbols = collect_symbols(program)
-        pcg = build_pcg(program, symbols, config.entry)
-        aliases = compute_aliases(program, symbols, pcg)
-        modref = compute_modref(program, symbols, pcg, aliases)
-        fi = flow_insensitive_icp(program, symbols, pcg, modref, config)
+        front = whole_program_phases(source, self.config)
+        fi = front.fi
         return {
             "degraded": True,
             "method": "fi",
-            "procedures": len(pcg.nodes),
-            "call_edges": len(pcg.edges),
+            "procedures": len(front.pcg.nodes),
+            "call_edges": len(front.pcg.edges),
             "constant_formals": [
                 {"proc": proc, "formal": formal}
                 for proc, formal in fi.constant_formals()

@@ -6,16 +6,20 @@ content-addressed summary cache, and accepts per-procedure edits.  After an
 edit, :meth:`AnalysisSession.analyze` re-runs only the PCG region whose
 analysis inputs actually changed:
 
-1. The cheap whole-program passes (validation, symbols, PCG, aliasing,
-   MOD/REF, flow-insensitive ICP) recompute unconditionally — none of them
-   runs the intraprocedural engine, and their fresh solutions feed the
-   dirty-region diff.
-2. :func:`repro.session.dirty.compute_dirty_region` derives the set of
-   procedures whose flow-sensitive analysis could differ; everything else
-   copies its previous result verbatim (no fingerprinting, no engine).
-3. The wavefront scheduler runs over the dirty region only, with the
-   session's summary cache behind it, so even dirty procedures whose inputs
-   round-tripped (an edit that was reverted) come back as cache hits.
+1. The pipeline's whole-program half
+   (:func:`repro.core.driver.whole_program_phases`: validation, symbols,
+   PCG, aliasing, MOD/REF, flow-insensitive ICP) recomputes
+   unconditionally — none of it runs the intraprocedural engine, and its
+   fresh solutions feed the dirty-region diff.
+2. :func:`repro.session.dirty.compute_dirty_region`, timed as phase
+   ``dirty``, derives the set of procedures whose flow-sensitive analysis
+   could differ; everything else copies its previous result verbatim (no
+   fingerprinting, no engine).
+3. The pipeline's engine half (:func:`repro.core.driver.engine_phases`:
+   flow-sensitive ICP, USE, returns, transform) runs the wavefront
+   scheduler over the dirty region only, with the session's summary cache
+   behind it, so even dirty procedures whose inputs round-tripped (an edit
+   that was reverted) come back as cache hits.
 
 The produced :class:`~repro.core.driver.PipelineResult` renders
 byte-identically (``repro.core.report.analysis_report``) to a cold
@@ -24,28 +28,24 @@ byte-identically (``repro.core.report.analysis_report``) to a cold
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Set, Union
+from typing import Any, Mapping, Optional, Set, Union
 
-from repro.analysis import make_engine
-from repro.callgraph.pcg import build_pcg
 from repro.core.config import ICPConfig
-from repro.core.driver import CompilationPipeline, PipelineResult
-from repro.core.flow_insensitive import flow_insensitive_icp
-from repro.core.flow_sensitive import FSResult, FSReuse, flow_sensitive_icp
-from repro.core.returns import ReturnsResult, compute_returns
+from repro.core.driver import (
+    PipelineResult,
+    WholeProgram,
+    engine_phases,
+    timed_phase,
+    whole_program_phases,
+)
+from repro.core.flow_sensitive import FSResult, FSReuse
 from repro.lang import ast
 from repro.lang.parser import parse_program
-from repro.lang.symbols import collect_symbols
-from repro.lang.validate import validate_program
 from repro.obs import NULL_OBS, Observability
 from repro.sched.cache import SummaryCache, procedure_fingerprint
-from repro.sched.scheduler import Scheduler
 from repro.session.dirty import DirtyRegion, compute_dirty_region
-from repro.summary.alias import compute_aliases
-from repro.summary.modref import compute_modref
-from repro.summary.use import UseReuse, compute_use
+from repro.summary.use import UseReuse
 
 
 @dataclass
@@ -141,7 +141,6 @@ class AnalysisSession:
         self.last_region: Optional[DirtyRegion] = None
         self._edited: Set[str] = set()
         self._full_dirty = True
-        self._prev_inputs = None  # (pcg, aliases, modref, fi) of last analyze
         #: Diagnostics cache: (result the findings were computed against,
         #: per-procedure finding lists).  Invalidated per procedure by
         #: comparing pipeline artifacts, not by re-running checks.
@@ -250,68 +249,26 @@ class AnalysisSession:
         """Re-analyze, re-running the engine over the dirty region only."""
         config = self.config
         obs = self.obs
-        program = self.program
-        timings: Dict[str, float] = {}
-
-        if obs.enabled:
-            def timed(name, thunk):
-                started = time.perf_counter()
-                with obs.tracer.span(name, cat="phase"), obs.profiler.phase(name):
-                    value = thunk()
-                timings[name] = time.perf_counter() - started
-                return value
-        else:
-            def timed(name, thunk):
-                started = time.perf_counter()
-                value = thunk()
-                timings[name] = time.perf_counter() - started
-                return value
-
-        timed(
-            "validate",
-            lambda: validate_program(
-                program,
-                require_main=(config.entry == "main"),
-                allow_missing=config.allow_missing,
-            ),
-        )
-        symbols = timed("collect", lambda: collect_symbols(program))
-        pcg = timed("pcg", lambda: build_pcg(program, symbols, config.entry))
-        if pcg.missing_callees and not config.allow_missing:
-            raise ValueError(
-                f"calls to missing procedures: {sorted(pcg.missing_callees)}"
-            )
-        aliases = timed("alias", lambda: compute_aliases(program, symbols, pcg))
-        modref = timed(
-            "modref", lambda: compute_modref(program, symbols, pcg, aliases)
-        )
-        fi = timed(
-            "icp_fi",
-            lambda: flow_insensitive_icp(program, symbols, pcg, modref, config),
-        )
+        front = whole_program_phases(self.program, config, obs)
 
         region: Optional[DirtyRegion] = None
         fs_reuse: Optional[FSReuse] = None
         use_reuse: Optional[UseReuse] = None
         previous = self.result
         if previous is not None and not self._full_dirty:
-            prev_pcg, prev_aliases, prev_modref, prev_fi = self._prev_inputs
-            region = timed(
-                "dirty",
-                lambda: compute_dirty_region(
-                    self._edited, prev_pcg, pcg, prev_aliases, aliases,
-                    prev_modref, modref, prev_fi, fi,
-                ),
+            region = timed_phase(
+                front.timings, obs.tracer, "dirty", compute_dirty_region,
+                self._edited, previous.pcg, front.pcg, previous.aliases,
+                front.aliases, previous.modref, front.modref, previous.fi,
+                front.fi,
             )
             if config.context_mode != "value-contexts":
-                clean = set(pcg.nodes) - set(region.fs_dirty)
+                clean = set(front.pcg.nodes) - set(region.fs_dirty)
                 clean &= set(previous.fs.intra)
                 clean = {
                     proc
                     for proc in clean
-                    if _tables_complete(
-                        proc, previous.fs, symbols, pcg, modref, program
-                    )
+                    if _tables_complete(proc, previous.fs, front)
                 }
                 fs_reuse = FSReuse(previous=previous.fs, clean=frozenset(clean))
             # Under value contexts the clean-copy fast path does not apply:
@@ -325,78 +282,25 @@ class AnalysisSession:
                 previous=previous.use, seeds=region.use_seeds
             )
 
-        scheduler = Scheduler.from_config(config, cache=self.cache, obs=obs)
-        engine = make_engine(config.engine)
-        try:
-            fs = timed(
-                "icp_fs",
-                lambda: flow_sensitive_icp(
-                    program, symbols, pcg, modref, aliases, fi, config,
-                    engine, scheduler=scheduler, reuse=fs_reuse,
-                ),
-            )
-            use = timed(
-                "use",
-                lambda: compute_use(
-                    program, symbols, pcg, modref, scheduler=scheduler,
-                    reuse=use_reuse,
-                ),
-            )
-            returns: Optional[ReturnsResult] = None
-            if config.propagate_returns or config.propagate_exit_values:
-                returns = timed(
-                    "returns",
-                    lambda: compute_returns(
-                        program, symbols, pcg, modref, fs, fi, aliases,
-                        config, engine,
-                        with_exit_values=config.propagate_exit_values,
-                        scheduler=scheduler,
-                    ),
-                )
-        finally:
-            sched_stats = scheduler.finish()
-
-        transform = None
-        if run_transform:
-            transform = timed(
-                "transform",
-                lambda: CompilationPipeline(config)._run_transform(
-                    program, symbols, modref, aliases, fs, returns
-                ),
-            )
-
+        result = engine_phases(
+            front, config, obs, self.cache, run_transform, fs_reuse, use_reuse
+        )
         if region is not None and region.delta.dropped_procs:
             self.cache.evict_procs(region.delta.dropped_procs)
 
-        result = PipelineResult(
-            program=program,
-            symbols=symbols,
-            pcg=pcg,
-            aliases=aliases,
-            modref=modref,
-            use=use,
-            fi=fi,
-            fs=fs,
-            returns=returns,
-            transform=transform,
-            timings=timings,
-            config=config,
-            sched=sched_stats,
-            obs=obs if obs.enabled else None,
-        )
         self.result = result
         self.last_region = region
-        self._prev_inputs = (pcg, aliases, modref, fi)
         edit_batch = len(self._edited)
         self._edited.clear()
         self._full_dirty = False
 
         stats = self.stats
         stats.analyses += 1
-        stats.last_procs = len(pcg.nodes)
+        stats.last_procs = len(result.pcg.nodes)
         stats.last_dirty = (
-            len(region.fs_dirty) if region is not None else len(pcg.nodes)
+            len(region.fs_dirty) if region is not None else stats.last_procs
         )
+        sched_stats = result.sched
         stats.last_reused = sched_stats.tasks_reused
         stats.last_cached = sched_stats.tasks_cached
         stats.last_engine_runs = sched_stats.tasks_run
@@ -528,7 +432,7 @@ class AnalysisSession:
         )
 
 
-def _tables_complete(proc, fs_prev: FSResult, symbols, pcg, modref, program) -> bool:
+def _tables_complete(proc, fs_prev: FSResult, front: WholeProgram) -> bool:
     """Can ``proc``'s previous entry tables be copied without gaps?
 
     Defensive demotion: the dirty-region computation should already catch
@@ -538,15 +442,15 @@ def _tables_complete(proc, fs_prev: FSResult, symbols, pcg, modref, program) -> 
     """
     if proc not in fs_prev.intra:
         return False
-    if proc == pcg.entry:
+    if proc == front.pcg.entry:
         return all(
             (proc, name) in fs_prev.entry_globals
-            for name in program.initial_globals()
+            for name in front.program.initial_globals()
         )
     return all(
         (proc, formal) in fs_prev.entry_formals
-        for formal in symbols[proc].formals
+        for formal in front.symbols[proc].formals
     ) and all(
         (proc, name) in fs_prev.entry_globals
-        for name in modref.ref_globals(proc)
+        for name in front.modref.ref_globals(proc)
     )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import ICPConfig
-from repro.api import CompilationPipeline, analyze_program
+from repro.api import AnalysisSession, CompilationPipeline, analyze_program
 from repro.errors import ValidationError
 from repro.ir.lattice import BOTTOM, Const
 
@@ -18,10 +18,16 @@ proc f(a) { print(a + g); }
 
 class TestPipeline:
     def test_all_phases_timed(self):
-        result = analyze_program(SOURCE)
-        for phase in ("parse", "validate", "collect", "pcg", "alias",
-                      "modref", "icp_fi", "icp_fs", "use"):
-            assert phase in result.timings
+        phases = {"validate", "collect", "pcg", "alias", "modref", "icp_fi",
+                  "icp_fs", "use"}
+        assert phases | {"parse"} <= set(analyze_program(SOURCE).timings)
+        # A session shares the pipeline's phases; it parses once, up front,
+        # and times its dirty-region step on re-analysis.
+        session = AnalysisSession(SOURCE)
+        first = session.analyze().timings
+        assert phases <= set(first) and not {"parse", "dirty"} & set(first)
+        session.update("f", "proc f(a) { print(a + g + 1); }")
+        assert phases | {"dirty"} <= set(session.analyze().timings)
 
     def test_accepts_parsed_program(self):
         from repro.lang.parser import parse_program

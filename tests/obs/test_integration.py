@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.programs import figure1_program
 from repro.core.config import ICPConfig
 from repro.api import analyze_program
@@ -147,6 +149,31 @@ class TestProfiledPipeline:
         assert all(p.visits for p in hot)
 
 
+class TestEngineRunRecording:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_returns_pass_records_engine_runs(self, workers):
+        # Figure 1's PCG is acyclic: one FS and one returns run per
+        # procedure, whether the traversals run serially or scheduled.
+        obs = Observability.create(trace=True, metrics=True, profile=True)
+        analyze_with(
+            figure1_program(), obs, workers=workers, propagate_returns=True
+        )
+        runs = {p.name: p.runs for p in obs.profiler.hot_procedures(top=0)}
+        assert runs == {"main": 2, "sub1": 2, "sub2": 2}
+        histograms = obs.metrics.snapshot()["histograms"]
+        assert histograms["engine.task_seconds"]["count"] == 6
+        returns_spans = [
+            e
+            for e in obs.tracer.events()
+            if e["name"] == "engine"
+            and e["ph"] == "B"
+            and e["args"]["pass_label"] == "returns"
+        ]
+        assert {e["args"]["proc"] for e in returns_spans} == {
+            "main", "sub1", "sub2",
+        }
+
+
 class TestResultEquivalence:
     def test_instrumented_results_match_uninstrumented(self):
         plain = analyze_program(figure1_program())
@@ -163,4 +190,3 @@ class TestResultEquivalence:
         obs = Observability.create(metrics=True, profile=True)
         analyze_with(figure1_program(), obs, workers=2, cache=True)
         json.dumps(obs.metrics.snapshot())
-        json.dumps(obs.profiler.snapshot())

@@ -221,6 +221,22 @@ class TestStatsAndReports:
         result = session.analyze(run_transform=True)
         assert result.transform is not None
 
+    def test_transform_opens_no_second_store(self, tmp_path, monkeypatch):
+        from repro.store import SummaryStore
+
+        opened = []
+        original_init = SummaryStore.__init__
+
+        def counting_init(self, *args, **kwargs):
+            opened.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SummaryStore, "__init__", counting_init)
+        session = AnalysisSession(SOURCE, {"store_dir": str(tmp_path)})
+        session.analyze(run_transform=True)
+        session.analyze(run_transform=True)
+        assert len(opened) == 1
+
     def test_parallel_session_matches_cold(self):
         session = AnalysisSession(SOURCE, {"workers": 2})
         session.analyze()
