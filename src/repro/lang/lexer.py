@@ -1,49 +1,54 @@
-"""Hand-written lexer for MiniF source text.
+"""Regex lexer for MiniF source text.
 
-The lexer tracks 1-based line/column positions, supports ``#`` line comments,
-and produces a trailing EOF token.  Numeric literals::
+One compiled pattern, matched once per lexeme, skips blanks and splits the
+source into words, operators, numbers, ``#`` line comments and newlines.
+The lexer tracks 1-based line/column positions from the newlines and
+produces a trailing EOF token.  Numeric literals::
 
     INT   := digit+
     FLOAT := digit+ "." digit* exponent?  |  digit+ exponent
     exponent := ("e" | "E") ("+" | "-")? digit+
 
-A leading sign is *not* part of a literal; unary minus is handled by the
-parser so that ``a-1`` lexes as three tokens.
+A digit is a Unicode decimal digit (``\\d``), which ``int`` and ``float``
+accept.  A ``.`` belongs to a number only when the character after it is
+not a letter (``1.`` is a FLOAT, ``1.e5`` is the INT ``1`` and then an
+error at the ``.``).  A leading sign is *not* part of a literal; unary
+minus is handled by the parser so that ``a-1`` lexes as three tokens.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, List
 
 from repro.errors import LexError, SourcePos
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 
-#: Two-character operators, tried before single-character ones.
-_TWO_CHAR_OPS = {
-    "==": TokenKind.EQ,
-    "!=": TokenKind.NE,
-    "<=": TokenKind.LE,
-    ">=": TokenKind.GE,
-}
+#: Operator and punctuation spelling -> kind; each such kind's value is
+#: its spelling.
+_OPERATORS = {kind.value: kind for kind in TokenKind if not kind.value.isalpha()}
 
-_ONE_CHAR_OPS = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMI,
-    "=": TokenKind.ASSIGN,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-}
+#: One match per lexeme: the blanks before it, then one alternative.
+#: ``word`` may start with any ``\w`` character but a decimal digit; the
+#: loop narrows its first character to a letter (``isalpha()``, which no
+#: regex class spells) or ``_``.  Two-character operators come before
+#: their one-character prefixes.  ``eof`` and ``bad`` make every match
+#: succeed.
+_LEXEME = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+        (?P<word>[^\W\d]\w*)
+      | (?P<op>[=!<>]=|[-+*/%(){}\[\],;=<>])
+      | (?P<newline>\n)
+      | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
+      | (?P<comment>\#[^\n]*)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
+    """,
+    re.VERBOSE,
+)
 
 
 class Lexer:
@@ -51,117 +56,61 @@ class Lexer:
 
     def __init__(self, source: str):
         self._source = source
-        self._index = 0
-        self._line = 1
-        self._column = 1
         #: ``(line, text)`` of every ``#`` comment, in source order; the
         #: diagnostics suppression scan reads ``noqa`` directives from here.
         self.comments: List[tuple] = []
 
     def tokens(self) -> Iterator[Token]:
         """Yield every token in the source, ending with an EOF token."""
+        source = self._source
+        match = _LEXEME.match
+        ident = TokenKind.IDENT
+        line = 1
+        line_start = 0  # index of the first character of ``line``
+        index = 0
         while True:
-            self._skip_whitespace_and_comments()
-            if self._at_end():
-                yield Token(TokenKind.EOF, "", self._pos())
+            lexeme = match(source, index)
+            group = lexeme.lastgroup
+            index = lexeme.end()
+            if group == "newline":
+                line += 1
+                line_start = index
+                continue
+            text = lexeme[group]
+            start = index - len(text)
+            pos = SourcePos(line, start - line_start + 1)
+            if group == "word":
+                if not (text[0].isalpha() or text[0] == "_"):
+                    raise LexError(f"unexpected character {text[0]!r}", pos)
+                yield Token(KEYWORDS.get(text, ident), text, pos)
+            elif group == "op":
+                yield Token(_OPERATORS[text], text, pos)
+            elif group == "number":
+                if not text.isdecimal():
+                    dot = text.find(".")
+                    if dot >= 0 and source[start + dot + 1 : start + dot + 2].isalpha():
+                        # A dot before a letter is not part of the number
+                        # (``1.e5``, ``1.x``); isalpha() decides, as above.
+                        index = start + dot
+                        text = text[:dot]
+                follower = source[index : index + 1]
+                if follower.isalpha() or follower == "_":
+                    raise LexError(
+                        f"identifier may not start with a digit: {text}...", pos
+                    )
+                if text.isdecimal():
+                    yield Token(TokenKind.INT, int(text), pos)
+                else:
+                    yield Token(TokenKind.FLOAT, float(text), pos)
+            elif group == "comment":
+                self.comments.append((line, text[1:]))
+            elif group == "eof":
+                yield Token(TokenKind.EOF, "", pos)
                 return
-            yield self._next_token()
-
-    # ------------------------------------------------------------------
-    # Internals.
-    # ------------------------------------------------------------------
-
-    def _pos(self) -> SourcePos:
-        return SourcePos(self._line, self._column)
-
-    def _at_end(self) -> bool:
-        return self._index >= len(self._source)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._index + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self) -> str:
-        char = self._source[self._index]
-        self._index += 1
-        if char == "\n":
-            self._line += 1
-            self._column = 1
-        else:
-            self._column += 1
-        return char
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while not self._at_end():
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "#":
-                line = self._line
-                text: List[str] = []
-                while not self._at_end() and self._peek() != "\n":
-                    text.append(self._advance())
-                self.comments.append((line, "".join(text[1:])))
+            elif text == "!":
+                raise LexError("'!' is only valid as part of '!='", pos)
             else:
-                return
-
-    def _next_token(self) -> Token:
-        pos = self._pos()
-        char = self._peek()
-        if char.isdigit():
-            return self._lex_number(pos)
-        if char.isalpha() or char == "_":
-            return self._lex_word(pos)
-        two = self._peek() + self._peek(1)
-        if two in _TWO_CHAR_OPS:
-            self._advance()
-            self._advance()
-            return Token(_TWO_CHAR_OPS[two], two, pos)
-        if char in _ONE_CHAR_OPS:
-            self._advance()
-            return Token(_ONE_CHAR_OPS[char], char, pos)
-        if char == "!":
-            raise LexError("'!' is only valid as part of '!='", pos)
-        raise LexError(f"unexpected character {char!r}", pos)
-
-    def _lex_number(self, pos: SourcePos) -> Token:
-        digits = [self._advance()]
-        while self._peek().isdigit():
-            digits.append(self._advance())
-        is_float = False
-        if self._peek() == "." and not self._peek(1).isalpha():
-            is_float = True
-            digits.append(self._advance())
-            while self._peek().isdigit():
-                digits.append(self._advance())
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            digits.append(self._advance())
-            if self._peek() in "+-":
-                digits.append(self._advance())
-            while self._peek().isdigit():
-                digits.append(self._advance())
-        text = "".join(digits)
-        if self._peek().isalpha() or self._peek() == "_":
-            raise LexError(f"identifier may not start with a digit: {text}...", pos)
-        if is_float:
-            return Token(TokenKind.FLOAT, float(text), pos)
-        return Token(TokenKind.INT, int(text), pos)
-
-    def _lex_word(self, pos: SourcePos) -> Token:
-        chars = [self._advance()]
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._advance())
-        word = "".join(chars)
-        kind = KEYWORDS.get(word)
-        if kind is not None:
-            return Token(kind, word, pos)
-        return Token(TokenKind.IDENT, word, pos)
+                raise LexError(f"unexpected character {text!r}", pos)
 
 
 def tokenize(source: str) -> List[Token]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Union
 
 from repro.errors import SourcePos
@@ -85,7 +84,6 @@ ARITHMETIC_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexed token.
 
@@ -94,9 +92,15 @@ class Token:
     for everything else.
     """
 
-    kind: TokenKind
-    value: Union[int, float, str]
-    pos: SourcePos
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: TokenKind, value: Union[int, float, str], pos: SourcePos):
+        self.kind = kind
+        self.value = value
+        self.pos = pos
+
+    def __repr__(self) -> str:
+        return f"Token(kind={self.kind!r}, value={self.value!r}, pos={self.pos!r})"
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.value!r})@{self.pos}"

@@ -13,12 +13,13 @@ Production behaviors:
   HTTP 503 and a ``Retry-After`` header instead of queuing without bound.
 - **Deadlines with degradation.**  Every request carries a deadline
   (``serve_timeout_seconds`` default, per-request ``timeout`` override).
-  An analyze/edit request that exceeds it degrades gracefully: the daemon
-  answers with the *flow-insensitive* solution — cheap, sound, less
-  precise — marked ``"degraded": true``, while the flow-sensitive run it
-  abandoned keeps warming the session in the background.  Queued-but-
-  unstarted work is cancelled outright.  Report/diagnostics queries have
-  no cheaper fallback and answer HTTP 504.
+  An analyze/edit request whose job started but exceeds it degrades
+  gracefully: the daemon answers with the *flow-insensitive* solution —
+  cheap, sound, less precise — marked ``"degraded": true``, while the
+  flow-sensitive run it abandoned lands the change and keeps warming the
+  session in the background.  Queued-but-unstarted work is cancelled
+  outright and answers HTTP 504, since its change will never land.
+  Report/diagnostics queries have no cheaper fallback and answer HTTP 504.
 - **Warm starts.**  With ``store_dir`` configured, every session's
   summary cache is backed by one shared persistent store, so a restarted
   daemon re-serves previously analyzed programs without re-running their
@@ -159,7 +160,15 @@ class _Rejected(Exception):
 
 
 class _Deadline(Exception):
-    """The request exceeded its deadline (degrade or HTTP 504)."""
+    """The request exceeded its deadline (degrade or HTTP 504).
+
+    ``started`` tells whether the job had started: a started job still
+    lands its change, a job cancelled in the queue never runs.
+    """
+
+    def __init__(self, started: bool):
+        super().__init__()
+        self.started = started
 
 
 @dataclass
@@ -383,6 +392,10 @@ class JSONHTTPFront:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # TCP_NODELAY: _finish writes the headers and the body
+            # separately, and with Nagle's algorithm on the body waits
+            # for the client's delayed ACK of the headers (about 40 ms).
+            disable_nagle_algorithm = True
 
             def _finish(self, status, payload, headers, head=False):
                 headers = dict(headers)
@@ -614,9 +627,10 @@ class AnalysisServer(JSONHTTPFront):
             # (Python threads cannot be killed), its slot released by run().
             if future.cancel():
                 self._slots.release()
-            raise _Deadline()
+                raise _Deadline(started=False)
+            raise _Deadline(started=True)
         except CancelledError:
-            raise _Deadline()
+            raise _Deadline(started=False)
 
     def _deadline_of(self, body: Dict[str, Any], query: Dict[str, Any]) -> float:
         raw = body.get("timeout", query.get("timeout"))
@@ -634,17 +648,25 @@ class AnalysisServer(JSONHTTPFront):
     # The flow-insensitive degradation path.
     # ------------------------------------------------------------------
 
-    def _fi_solution(self, source: str) -> Dict[str, Any]:
-        """The cheap, engine-free solution a deadline-exceeded analyze gets.
+    def _degrade(self, missed: _Deadline, source: str) -> Tuple[int, Dict[str, Any]]:
+        """The answer to a load or edit whose job missed its deadline.
 
-        Runs only the pipeline's linear whole-program half (parse,
-        validate, symbols, PCG, aliasing, MOD/REF, flow-insensitive ICP) on
-        the handler thread — sound, less precise, and fast enough to answer
-        under pressure.
+        A started job will still land its change, so the answer is the
+        cheap, engine-free solution of ``source``: only the pipeline's
+        linear whole-program half (parse, validate, symbols, PCG, aliasing,
+        MOD/REF, flow-insensitive ICP), run on the handler thread — sound,
+        less precise, and fast enough to answer under pressure.  A job
+        cancelled in the queue changes nothing, so its request answers 504
+        like a report past its deadline.
         """
+        if not missed.started:
+            raise missed
+        self.stats.degraded += 1
+        if self.obs.metrics.enabled:
+            self.obs.metrics.counter("serve.degraded").inc()
         front = whole_program_phases(source, self.config)
         fi = front.fi
-        return {
+        return 200, {
             "degraded": True,
             "method": "fi",
             "procedures": len(front.pcg.nodes),
@@ -723,11 +745,8 @@ class AnalysisServer(JSONHTTPFront):
 
         try:
             return self._execute(job, deadline)
-        except _Deadline:
-            self.stats.degraded += 1
-            if self.obs.metrics.enabled:
-                self.obs.metrics.counter("serve.degraded").inc()
-            return 200, self._fi_solution(source)
+        except _Deadline as missed:
+            return self._degrade(missed, source)
 
     def _handle_edit(
         self, program_id: str, body: Dict[str, Any], deadline: float
@@ -754,14 +773,11 @@ class AnalysisServer(JSONHTTPFront):
 
         try:
             return self._execute(job, deadline)
-        except _Deadline:
-            self.stats.degraded += 1
-            if self.obs.metrics.enabled:
-                self.obs.metrics.counter("serve.degraded").inc()
-            # The edit is already applied to the session (or will be when
-            # the abandoned job lands); answer from the edited source.
+        except _Deadline as missed:
+            # A started edit is applied to the session (or will be when the
+            # abandoned job lands); answer from the edited source.
             fallback = source if procedure is None else program.source
-            return 200, self._fi_solution(fallback)
+            return self._degrade(missed, fallback)
 
     def _handle_report(
         self, program_id: str, deadline: float

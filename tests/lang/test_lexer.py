@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LexError
-from repro.lang.lexer import tokenize
+from repro.lang.lexer import scan_comments, tokenize
 from repro.lang.tokens import TokenKind
 
 
@@ -108,6 +108,11 @@ class TestCommentsAndWhitespace:
     def test_whitespace_variants(self):
         assert values("1\t2\r\n3") == [1, 2, 3]
 
+    def test_scan_comments_keeps_comments_before_a_lex_error(self):
+        assert scan_comments("# noqa\nx = 1; # a\n@ # b") == [
+            (1, " noqa"), (2, " a"),
+        ]
+
 
 class TestPositions:
     def test_line_and_column(self):
@@ -122,8 +127,10 @@ class TestPositions:
 
 class TestLexErrors:
     def test_unknown_character(self):
-        with pytest.raises(LexError):
-            tokenize("a @ b")
+        # A non-decimal digit such as a superscript is no digit to the lexer.
+        for source in ("a @ b", "x = ²", "x = 1²"):
+            with pytest.raises(LexError, match="unexpected character"):
+                tokenize(source)
 
     def test_bare_bang(self):
         with pytest.raises(LexError, match="'!'"):

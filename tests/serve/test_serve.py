@@ -1,8 +1,12 @@
 """The analysis daemon: routing, backpressure, degradation, warm starts."""
 
+import contextlib
+import http.client
 import json
 import os
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -10,6 +14,7 @@ import pytest
 
 from repro.core.config import ICPConfig
 from repro.serve import RETRY_AFTER_SECONDS, AnalysisServer
+from repro.store.service import SummaryService
 
 SOURCE = """\
 proc main() { call sub1(0); }
@@ -291,6 +296,74 @@ class TestDegradation:
         assert server.stats.timeouts == 1
 
 
+class TestCancelledDeadline:
+    """A load or edit still queued at its deadline is cancelled and never
+    runs, so it answers 504 instead of a degraded answer for a change that
+    will not land."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _held_worker(srv, monkeypatch):
+        """Hold the only worker with a report that waits for a gate."""
+        session = srv._get_program("p1").session
+        report = session.report
+        entered, gate = threading.Event(), threading.Event()
+
+        def gated_report():
+            entered.set()
+            gate.wait(10)
+            return report()
+
+        monkeypatch.setattr(session, "report", gated_report)
+        holder = threading.Thread(
+            target=srv.dispatch, args=("GET", "/programs/p1/report")
+        )
+        holder.start()
+        try:
+            assert entered.wait(10)
+            yield
+        finally:
+            gate.set()
+            holder.join(10)
+
+    def test_cancelled_edit_answers_504_and_is_not_applied(self, monkeypatch):
+        srv = _server(serve_workers=1)
+        try:
+            srv.dispatch("POST", "/programs/p1", {"source": SOURCE})
+            _, before, _ = srv.dispatch("GET", "/programs/p1/report")
+            with self._held_worker(srv, monkeypatch):
+                status, payload, _ = srv.dispatch(
+                    "POST",
+                    "/programs/p1/edits",
+                    {"source": EDITED, "timeout": 0.05},
+                )
+            assert status == 504
+            assert payload == {"error": "deadline exceeded"}
+            assert (srv.stats.timeouts, srv.stats.degraded) == (1, 0)
+            _, after, _ = srv.dispatch("GET", "/programs/p1/report")
+            assert after == before
+            status, payload, _ = srv.dispatch(
+                "POST", "/programs/p1/edits", {"source": EDITED}
+            )
+            assert status == 200 and payload["changed"] == 1
+        finally:
+            srv.close()
+
+    def test_cancelled_load_answers_504_and_loads_nothing(self, monkeypatch):
+        srv = _server(serve_workers=1)
+        try:
+            srv.dispatch("POST", "/programs/p1", {"source": SOURCE})
+            with self._held_worker(srv, monkeypatch):
+                status, _, _ = srv.dispatch(
+                    "POST", "/programs/p2", {"source": SOURCE, "timeout": 0.05}
+                )
+            assert status == 504
+            assert srv.stats.timeouts == 1
+            assert srv.dispatch("GET", "/programs/p2/report")[0] == 404
+        finally:
+            srv.close()
+
+
 class TestSessionPool:
     def test_lru_eviction_bounds_residency(self):
         srv = _server(serve_max_sessions=2)
@@ -402,4 +475,39 @@ class TestHTTP:
                 urllib.request.urlopen(req, timeout=10)
             assert excinfo.value.code == 400
         finally:
+            srv.close()
+
+    @pytest.mark.parametrize("front", ["daemon", "summary-service"])
+    def test_keep_alive_responses_do_not_wait_for_a_delayed_ack(
+        self, tmp_path, front
+    ):
+        # The headers and the body leave in two writes: with Nagle's
+        # algorithm on, the body would wait about 40 ms for the client's
+        # delayed ACK of the headers.
+        config = {"serve_port": 0, "serve_log_enabled": False}
+        if front == "daemon":
+            srv = AnalysisServer(ICPConfig.from_dict(config))
+            path = "/v1/programs/p1/report"
+            srv.dispatch("POST", "/programs/p1", {"source": SOURCE})
+            srv.dispatch("GET", "/programs/p1/report")
+        else:
+            config["store_dir"] = str(tmp_path / "summaries")
+            srv = SummaryService(
+                ICPConfig.from_dict(config), compact_interval=None
+            )
+            path = "/v1/healthz"
+        host, port = srv.start()
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            latencies = []
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", path)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                latencies.append(time.perf_counter() - started)
+            assert statistics.median(latencies) < 0.020
+        finally:
+            conn.close()
             srv.close()

@@ -123,6 +123,13 @@ class TestErrors:
         path.write_text("proc main( {")
         assert main(["analyze", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+        # A superscript digit is a one-line lex error, not a traceback.
+        path.write_text("proc main() { x = ²; print(x); }", encoding="utf-8")
+        for command in ("analyze", "check"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err == (
+                "error: unexpected character '²' at 1:19\n"
+            )
 
 
 class TestTables:
