@@ -7,6 +7,9 @@ SUITE/RECURSION_SUITE profiles with serial and ``workers=2`` dispatch, the
 summary cache, both ``context_mode`` settings and the returns extension.
 Every cell runs one warm pipeline over its programs in order, so later
 programs also exercise whatever state the pipeline keeps between runs.
+The report holds no transform output, so the bench-profile cells marked
+``transform`` also run the transformation and add the transformed program
+and its substitution, fold and prune tables to the digest.
 
 ``generate_program`` iterates sets, so the *text* it produces for a seed
 depends on string hashing: on ``PYTHONHASHSEED`` and on the interpreter's
@@ -40,6 +43,7 @@ from repro.bench.suite import RECURSION_SUITE, SUITE, build_benchmark
 from repro.core.config import ICPConfig
 from repro.core.report import analysis_report
 from repro.diag.engine import DiagOptions, run_diagnostics
+from repro.lang.pretty import pretty_program
 
 FIXTURE = Path(__file__).with_name("report_digests.json")
 
@@ -70,22 +74,47 @@ CORPUS_CELLS = {
     ),
 }
 
-#: Bench-profile cells: the profile table and config overrides (scale 1).
+#: Bench-profile cells: the profile table, config overrides and whether the
+#: run includes the transformation (scale 1).
 SUITE_CELLS = {
-    "standard_suite": (SUITE, {}),
-    "standard_suite_value_contexts": (SUITE, {"context_mode": "value-contexts"}),
-    "recursion_suite": (RECURSION_SUITE, {}),
+    "standard_suite": (SUITE, {}, False),
+    "standard_suite_value_contexts": (
+        SUITE, {"context_mode": "value-contexts"}, False,
+    ),
+    "recursion_suite": (RECURSION_SUITE, {}, False),
     "recursion_suite_value_contexts": (
-        RECURSION_SUITE, {"context_mode": "value-contexts"},
+        RECURSION_SUITE, {"context_mode": "value-contexts"}, False,
+    ),
+    "standard_suite_transform": (SUITE, {}, True),
+    "standard_suite_transform_jobs_with_cache": (
+        SUITE, {"workers": 2, "cache": True}, True,
+    ),
+    "recursion_suite_transform_exit_values": (
+        RECURSION_SUITE, {"propagate_exit_values": True}, True,
+    ),
+    "recursion_suite_transform_value_contexts": (
+        RECURSION_SUITE, {"context_mode": "value-contexts"}, True,
     ),
 }
 
 
-def digest(pipeline, program):
-    """sha256 of the analysis report plus the rendered default diagnostics."""
-    result = pipeline.run(program)
+def digest(pipeline, program, run_transform=False):
+    """sha256 of the analysis report plus the rendered default diagnostics.
+
+    With ``run_transform`` the transformed program and its per-procedure
+    substitution, fold and prune counts follow.
+    """
+    result = pipeline.run(program, run_transform=run_transform)
     options = DiagOptions.from_config(ICPConfig())
     text = analysis_report(result) + run_diagnostics(result, options).render()
+    if run_transform:
+        transform = result.transform
+        text += pretty_program(transform.program)
+        text += "".join(
+            f"{proc} {transform.substitutions[proc]} {transform.folds[proc]} "
+            f"{transform.pruned_branches[proc]}\n"
+            for proc in transform.substitutions
+        )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -103,10 +132,10 @@ def corpus_digests():
 
 
 def suite_digests(cell):
-    profiles, overrides = SUITE_CELLS[cell]
+    profiles, overrides, run_transform = SUITE_CELLS[cell]
     pipeline = CompilationPipeline(ICPConfig.from_dict(overrides))
     return {
-        name: digest(pipeline, build_benchmark(profile, 1))
+        name: digest(pipeline, build_benchmark(profile, 1), run_transform)
         for name, profile in profiles.items()
     }
 
@@ -188,6 +217,18 @@ class TestBenchProfilesDigests:
 
     def test_recursion_suite_value_contexts(self):
         _assert_suite_cell("recursion_suite_value_contexts")
+
+    def test_standard_suite_transform(self):
+        _assert_suite_cell("standard_suite_transform")
+
+    def test_standard_suite_transform_jobs_with_cache(self):
+        _assert_suite_cell("standard_suite_transform_jobs_with_cache")
+
+    def test_recursion_suite_transform_exit_values(self):
+        _assert_suite_cell("recursion_suite_transform_exit_values")
+
+    def test_recursion_suite_transform_value_contexts(self):
+        _assert_suite_cell("recursion_suite_transform_value_contexts")
 
 
 def _write_fixture():
