@@ -495,11 +495,14 @@ class _Tabulation:
             if not contexts:
                 ctx = dead[proc]
                 result.intra[proc] = ctx.intra
+                result.single_context_envs[proc] = ctx.env
                 self._record_entry(proc, [ctx], entry, result)
                 continue
 
             result.fs_reachable.add(proc)
             result.intra[proc] = self._merge_intra(contexts)
+            if len(contexts) == 1:
+                result.single_context_envs[proc] = contexts[0].env
             self._record_entry(proc, contexts, entry, result)
 
         # Fallback edges: only the requests the blowup guard degraded keep

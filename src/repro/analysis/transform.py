@@ -2,9 +2,11 @@
 
 This is the second half of the paper's interprocedural constant propagation
 ("the transformation of a program representation to reflect these constants",
-Section 2): each procedure is re-analyzed intraprocedurally with its
-interprocedural entry constants, constant uses are substituted, constant
-expressions folded, and branches decided by constants pruned.
+Section 2).  Each procedure is rewritten from one SCC engine run under its
+interprocedural entry constants: constant uses are substituted, constant
+expressions folded, and branches decided by constants pruned.  That run is
+the one the pipeline already made when it provably had the same inputs
+(``details``); any other procedure is analyzed here.
 
 The number of *substitutions* (variable uses replaced by a constant) is the
 metric of the paper's Table 5 (following Grove & Torczon / Metzger & Stroud).
@@ -18,7 +20,7 @@ the reference interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.analysis.base import CallEffects
 from repro.analysis.scc import SCCDetail, SCCEngine
@@ -27,6 +29,7 @@ from repro.ir.eval import EvalError, apply_binary, apply_unary, evaluate_expr
 from repro.ir.lattice import TOP, LatticeValue
 from repro.lang import ast
 from repro.lang.symbols import ProcedureSymbols
+from repro.obs import NULL_OBS, Observability
 
 
 @dataclass
@@ -60,24 +63,40 @@ def transform_program(
     prune_dead_branches: bool = True,
     fold_constants: bool = True,
     insert_entry_assignments: bool = False,
-    engine: Optional[SCCEngine] = None,
+    details: Optional[Mapping[str, object]] = None,
+    obs: Observability = NULL_OBS,
 ) -> TransformResult:
     """Substitute, fold, and prune every procedure of ``program``.
 
     :param entry_envs: per-procedure entry lattice environment, as produced by
         an interprocedural constant propagation method (may be empty — then
         only intraprocedurally evident constants are materialized).
+    :param details: per-procedure engine details the caller computed with
+        exactly ``entry_envs`` and ``effects``.  A detail stands in for the
+        procedure's engine run only if it is an :class:`SCCDetail` lowered
+        from that very procedure object: its statement maps are keyed by
+        ``id(stmt)``.  Every other procedure runs the SCC engine, recorded
+        in ``obs`` under the pass label ``transform``.
     """
-    engine = engine or SCCEngine()
+    # Imported here: repro.sched imports this package.
+    from repro.sched.pool import serial_engine_run
+
+    details = details or {}
+    engine = SCCEngine()
     result = TransformResult(program=program)
     new_procs: List[ast.Procedure] = []
     for proc in program.procedures:
+        detail = details.get(proc.name)
+        if not (isinstance(detail, SCCDetail) and detail.build.proc is proc):
+            intra, _ = serial_engine_run(
+                obs, engine, "transform", proc, symbols[proc.name],
+                entry_envs.get(proc.name, {}), effects,
+            )
+            detail = intra.detail
         transformer = _ProcTransformer(
             proc,
-            symbols[proc.name],
-            entry_envs.get(proc.name, {}),
+            detail,
             effects,
-            engine,
             prune=prune_dead_branches,
             fold=fold_constants,
         )
@@ -134,10 +153,8 @@ class _ProcTransformer:
     def __init__(
         self,
         proc: ast.Procedure,
-        symbols: ProcedureSymbols,
-        entry_env: Dict[str, LatticeValue],
+        detail: SCCDetail,
         effects: CallEffects,
-        engine: SCCEngine,
         *,
         prune: bool,
         fold: bool,
@@ -150,11 +167,6 @@ class _ProcTransformer:
         self.folds = 0
         self.pruned = 0
 
-        intra = engine.analyze(proc, symbols, entry_env, effects)
-        detail = intra.detail
-        if not isinstance(detail, SCCDetail):
-            raise TypeError("transform_program requires the SCC engine")
-        self._detail = detail
         self._instr_of_stmt = detail.build.instr_of_stmt
         self._values = detail.values
         self._reached = detail.reached_blocks

@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis import make_engine
 from repro.analysis.transform import TransformResult, transform_program
@@ -255,7 +255,7 @@ def engine_phases(
     if run_transform:
         transform = phase(
             "transform", _transform,
-            program, symbols, modref, aliases, fs, returns, config,
+            program, symbols, pcg, modref, aliases, fs, returns, config, obs,
         )
 
     obs.profiler.record_phases(timings)
@@ -280,13 +280,45 @@ def engine_phases(
 def _transform(
     program: ast.Program,
     symbols: Dict[str, ProcedureSymbols],
+    pcg: PCG,
     modref: ModRefInfo,
     aliases: AliasInfo,
     fs: FSResult,
     returns: Optional[ReturnsResult],
     config: ICPConfig,
+    obs: Observability,
 ) -> TransformResult:
-    """Rewrite ``program`` with the FS entry constants (and returns)."""
+    """Rewrite ``program`` with the FS entry constants (and returns),
+    from the engine runs :func:`_reusable_details` picks where it can."""
+    entry_envs, effects = transform_inputs(
+        program, symbols, modref, aliases, fs, returns, config
+    )
+    return transform_program(
+        program,
+        symbols,
+        entry_envs,
+        effects,
+        prune_dead_branches=config.prune_dead_branches,
+        insert_entry_assignments=config.insert_entry_assignments,
+        details=_reusable_details(pcg, fs, returns, entry_envs),
+        obs=obs,
+    )
+
+
+def transform_inputs(
+    program: ast.Program,
+    symbols: Dict[str, ProcedureSymbols],
+    modref: ModRefInfo,
+    aliases: AliasInfo,
+    fs: FSResult,
+    returns: Optional[ReturnsResult],
+    config: ICPConfig,
+) -> Tuple[Dict[str, Dict[str, LatticeValue]], SummaryEffects]:
+    """The transformation's entry environments and call effects.
+
+    The environments are the FS solution's; the effects carry the final
+    return (and exit) summaries when the returns extension ran.
+    """
     if returns is not None and config.propagate_exit_values:
         effects: SummaryEffects = ExitValueEffects(
             modref, aliases, returns.fs_returns, returns.exit_values,
@@ -305,14 +337,46 @@ def _transform(
         proc: fs.entry_env(proc, symbols[proc])
         for proc in fs.intra
     }
-    return transform_program(
-        program,
-        symbols,
-        entry_envs,
-        effects,
-        prune_dead_branches=config.prune_dead_branches,
-        insert_entry_assignments=config.insert_entry_assignments,
-    )
+    return entry_envs, effects
+
+
+def _reusable_details(
+    pcg: PCG,
+    fs: FSResult,
+    returns: Optional[ReturnsResult],
+    entry_envs: Dict[str, Dict[str, LatticeValue]],
+) -> Dict[str, object]:
+    """Engine details computed with the transformation's own inputs.
+
+    A run qualifies only if it was seeded with the procedure's entry
+    environment and saw the transformation's call effects:
+
+    - with the returns extension, the returns pass's run, and only for a
+      procedure whose callees all come later in RPO, so every return and
+      exit summary that run read was already final;
+    - without it, the FS run (same effects); under value contexts only
+      for a procedure with a single context whose environment equals its
+      entry environment, since merged contexts have no one run.
+
+    :func:`transform_program` further requires that each detail was
+    lowered from the very procedure it rewrites.
+    """
+    if returns is not None:
+        return {
+            proc: intra.detail
+            for proc, intra in returns.intra.items()
+            if all(
+                pcg.rpo_position(edge.callee) > pcg.rpo_position(proc)
+                for edge in pcg.edges_out_of(proc)
+            )
+        }
+    if fs.contexts is None:
+        return {proc: intra.detail for proc, intra in fs.intra.items()}
+    return {
+        proc: fs.intra[proc].detail
+        for proc, env in fs.single_context_envs.items()
+        if env == entry_envs[proc]
+    }
 
 
 class CompilationPipeline:

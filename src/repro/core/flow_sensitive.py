@@ -75,6 +75,13 @@ class FSResult:
     #: "value-contexts"`` (:class:`repro.analysis.contexts.ContextStats`);
     #: None under the default carini-hind traversal.
     contexts: Optional[object] = None
+    #: Value contexts only: the environment of the one engine run behind
+    #: ``intra[proc]``, for each procedure tabulated in a single context (or
+    #: analyzed once as FS-dead).  Procedures whose contexts were merged are
+    #: absent.  Under carini-hind every ``intra`` run used ``entry_env``.
+    single_context_envs: Dict[str, Dict[str, LatticeValue]] = field(
+        default_factory=dict
+    )
 
     def entry_formal(self, proc: str, formal: str) -> LatticeValue:
         return self.entry_formals.get((proc, formal), BOTTOM)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis import make_engine
-from repro.analysis.base import IntraEngine
+from repro.analysis.base import IntraEngine, IntraResult
 from repro.callgraph.pcg import PCG
 from repro.core.config import ICPConfig
 from repro.core.effects import SummaryEffects
@@ -54,6 +54,10 @@ class ReturnsResult:
     #: procedures off PCG cycles are entered (the full §3.2 extension:
     #: "returned constant parameters and globals").
     exit_values: Dict[str, Dict[str, LatticeValue]] = field(default_factory=dict)
+    #: The reverse traversal's engine run of each procedure.
+    intra: Dict[str, IntraResult] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def fs_return(self, proc: str) -> LatticeValue:
         return self.fs_returns.get(proc, BOTTOM)
@@ -214,6 +218,7 @@ def compute_returns(
             obs, engine, pass_label, proc_map[proc_name], symbols[proc_name],
             entry_env, effects, record_exit_vars=record_exit_vars,
         )
+        result.intra[proc_name] = intra
         value = config.admit(intra.return_value)
         table[proc_name] = value
         result.fs_returns[proc_name] = value
@@ -323,6 +328,7 @@ def _scheduled_reverse(
         outcomes = scheduler.run_level(tasks)
         for task in tasks:
             intra = outcomes[task.proc_name]
+            result.intra[task.proc_name] = intra
             value = config.admit(intra.return_value)
             fs_table[task.proc_name] = value
             result.fs_returns[task.proc_name] = value

@@ -3,7 +3,9 @@
 The builder keeps AST expression objects by reference (never copies them) and
 records, for every lowered statement, the instruction or terminator it became
 (:attr:`CFGBuildResult.instr_of_stmt`) so the transformation pass can map SSA
-facts back onto source statements.
+facts back onto source statements.  Those maps are keyed by ``id(stmt)``, so
+they hold only for the procedure object they were built from, which
+:attr:`CFGBuildResult.proc` keeps.
 
 Statements following a ``return`` in the same block become an unreachable
 block with no predecessors; they stay in the CFG (the transform pass leaves
@@ -35,6 +37,8 @@ class CFGBuildResult:
     """A lowered procedure: the CFG plus statement-to-IR back maps."""
 
     cfg: CFG
+    #: The procedure lowered; ``instr_of_stmt`` is keyed by its statements.
+    proc: ast.Procedure
     #: id(stmt) -> the Instr or Terminator carrying that statement's expression.
     instr_of_stmt: Dict[int, Union[AssignInstr, CallInstr, PrintInstr, Ret, Branch]] = (
         field(default_factory=dict)
@@ -55,7 +59,7 @@ class _Builder:
         self._site_of_stmt: Dict[int, CallSite] = {
             id(site.stmt): site for site in symbols.call_sites
         }
-        self._result = CFGBuildResult(cfg=CFG(proc.name))
+        self._result = CFGBuildResult(cfg=CFG(proc.name), proc=proc)
         self._cfg = self._result.cfg
         self._current: Optional[int] = self._cfg.entry_id
 

@@ -173,6 +173,39 @@ class TestEngineRunRecording:
             "main", "sub1", "sub2",
         }
 
+    def test_transform_reuses_the_fs_runs(self):
+        # The transformation rewrites each procedure from its FS run, so a
+        # transformed Figure 1 still costs one engine run per procedure.
+        obs = Observability.create(trace=True, metrics=True, profile=True)
+        analyze_program(figure1_program(), ICPConfig(), run_transform=True, obs=obs)
+        runs = {p.name: p.runs for p in obs.profiler.hot_procedures(top=0)}
+        assert runs == {"main": 1, "sub1": 1, "sub2": 1}
+        histograms = obs.metrics.snapshot()["histograms"]
+        assert histograms["engine.task_seconds"]["count"] == 3
+
+    def test_transform_records_its_own_engine_runs(self):
+        # `dead` is outside the PCG: no pass before the transformation
+        # analyzed it, so the transformation's own run must be observed.
+        obs = Observability.create(trace=True, metrics=True, profile=True)
+        analyze_program(
+            WIDE + "proc dead(c) { print(c); }\n",
+            ICPConfig(),
+            run_transform=True,
+            obs=obs,
+        )
+        transform_spans = [
+            e
+            for e in obs.tracer.events()
+            if e["name"] == "engine"
+            and e["ph"] == "B"
+            and e["args"]["pass_label"] == "transform"
+        ]
+        assert [e["args"]["proc"] for e in transform_spans] == ["dead"]
+        runs = {p.name: p.runs for p in obs.profiler.hot_procedures(top=0)}
+        assert runs == {"main": 1, "f": 1, "g": 1, "dead": 1}
+        histograms = obs.metrics.snapshot()["histograms"]
+        assert histograms["engine.task_seconds"]["count"] == 4
+
 
 class TestResultEquivalence:
     def test_instrumented_results_match_uninstrumented(self):
