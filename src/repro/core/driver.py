@@ -30,6 +30,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis import make_engine
+from repro.analysis.base import IntraResult
 from repro.analysis.transform import TransformResult, transform_program
 from repro.callgraph.pcg import PCG, build_pcg
 from repro.core.config import ICPConfig
@@ -241,12 +242,16 @@ def engine_phases(
             scheduler=scheduler, reuse=use_reuse,
         )
         returns: Optional[ReturnsResult] = None
+        # The returns pass's engine runs, kept for the transformation only.
+        returns_runs: Optional[Dict[str, IntraResult]] = (
+            {} if run_transform else None
+        )
         if config.propagate_returns or config.propagate_exit_values:
             returns = phase(
                 "returns", compute_returns,
                 program, symbols, pcg, modref, fs, fi, aliases, config, engine,
                 with_exit_values=config.propagate_exit_values,
-                scheduler=scheduler,
+                scheduler=scheduler, runs=returns_runs,
             )
     finally:
         sched_stats = scheduler.finish()
@@ -255,7 +260,8 @@ def engine_phases(
     if run_transform:
         transform = phase(
             "transform", _transform,
-            program, symbols, pcg, modref, aliases, fs, returns, config, obs,
+            program, symbols, pcg, modref, aliases, fs, returns, returns_runs,
+            config, obs,
         )
 
     obs.profiler.record_phases(timings)
@@ -285,6 +291,7 @@ def _transform(
     aliases: AliasInfo,
     fs: FSResult,
     returns: Optional[ReturnsResult],
+    returns_runs: Dict[str, IntraResult],
     config: ICPConfig,
     obs: Observability,
 ) -> TransformResult:
@@ -300,7 +307,7 @@ def _transform(
         effects,
         prune_dead_branches=config.prune_dead_branches,
         insert_entry_assignments=config.insert_entry_assignments,
-        details=_reusable_details(pcg, fs, returns, entry_envs),
+        details=_reusable_details(pcg, fs, returns, returns_runs, entry_envs),
         obs=obs,
     )
 
@@ -344,6 +351,7 @@ def _reusable_details(
     pcg: PCG,
     fs: FSResult,
     returns: Optional[ReturnsResult],
+    returns_runs: Dict[str, IntraResult],
     entry_envs: Dict[str, Dict[str, LatticeValue]],
 ) -> Dict[str, object]:
     """Engine details computed with the transformation's own inputs.
@@ -364,7 +372,7 @@ def _reusable_details(
     if returns is not None:
         return {
             proc: intra.detail
-            for proc, intra in returns.intra.items()
+            for proc, intra in returns_runs.items()
             if all(
                 pcg.rpo_position(edge.callee) > pcg.rpo_position(proc)
                 for edge in pcg.edges_out_of(proc)

@@ -54,10 +54,6 @@ class ReturnsResult:
     #: procedures off PCG cycles are entered (the full §3.2 extension:
     #: "returned constant parameters and globals").
     exit_values: Dict[str, Dict[str, LatticeValue]] = field(default_factory=dict)
-    #: The reverse traversal's engine run of each procedure.
-    intra: Dict[str, IntraResult] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def fs_return(self, proc: str) -> LatticeValue:
         return self.fs_returns.get(proc, BOTTOM)
@@ -152,6 +148,7 @@ def compute_returns(
     engine: Optional[IntraEngine] = None,
     with_exit_values: bool = False,
     scheduler: Optional[Scheduler] = None,
+    runs: Optional[Dict[str, IntraResult]] = None,
 ) -> ReturnsResult:
     """Run the reverse traversal computing constant return values.
 
@@ -166,6 +163,10 @@ def compute_returns(
     would have seen, so the scheduled solution is identical.  (The
     flow-insensitive return fixpoint stays serial — its table mutates
     between rounds and each round is cheap.)
+
+    ``runs``, when given, receives each procedure's engine run of the
+    reverse traversal; the transformation reuses some of them.  The
+    result itself keeps no run.
     """
     config = config or ICPConfig()
     engine = engine or make_engine(config.engine)
@@ -184,7 +185,7 @@ def compute_returns(
     if scheduler is not None and scheduler.engaged:
         _scheduled_reverse(
             program, symbols, pcg, modref, fs, aliases, config,
-            result, cyclic, with_exit_values, scheduler,
+            result, runs, cyclic, with_exit_values, scheduler,
         )
         return result
 
@@ -218,7 +219,8 @@ def compute_returns(
             obs, engine, pass_label, proc_map[proc_name], symbols[proc_name],
             entry_env, effects, record_exit_vars=record_exit_vars,
         )
-        result.intra[proc_name] = intra
+        if runs is not None:
+            runs[proc_name] = intra
         value = config.admit(intra.return_value)
         table[proc_name] = value
         result.fs_returns[proc_name] = value
@@ -238,6 +240,7 @@ def _scheduled_reverse(
     aliases: Optional[AliasInfo],
     config: ICPConfig,
     result: ReturnsResult,
+    runs: Optional[Dict[str, IntraResult]],
     cyclic,
     with_exit_values: bool,
     scheduler: Scheduler,
@@ -328,7 +331,8 @@ def _scheduled_reverse(
         outcomes = scheduler.run_level(tasks)
         for task in tasks:
             intra = outcomes[task.proc_name]
-            result.intra[task.proc_name] = intra
+            if runs is not None:
+                runs[task.proc_name] = intra
             value = config.admit(intra.return_value)
             fs_table[task.proc_name] = value
             result.fs_returns[task.proc_name] = value
