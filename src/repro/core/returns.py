@@ -31,7 +31,7 @@ from repro.core.flow_sensitive import FSResult, fs_effects_fingerprint
 from repro.ir.lattice import BOTTOM, TOP, LatticeValue, meet
 from repro.lang import ast
 from repro.lang.symbols import CallSite, ProcedureSymbols
-from repro.obs import NULL_OBS
+from repro.obs import NULL_OBS, Observability
 from repro.sched.cache import (
     config_fingerprint,
     env_fingerprint,
@@ -173,12 +173,13 @@ def compute_returns(
     proc_map = program.procedure_map()
     result = ReturnsResult()
 
+    obs = scheduler.obs if scheduler is not None else NULL_OBS
     needs_fi = bool(pcg.fallback_edges)
     if needs_fi and fi is None:
         raise ValueError("a flow-insensitive solution is required for cyclic PCGs")
     if needs_fi:
         result.fi_returns = _fi_return_fixpoint(
-            program, symbols, pcg, modref, fi, aliases, config, engine
+            program, symbols, pcg, modref, fi, aliases, config, engine, obs
         )
     cyclic = _cyclic_procs(pcg) if with_exit_values else set()
 
@@ -192,7 +193,6 @@ def compute_returns(
     # Reverse topological traversal: callees first.  The effects see the
     # tables as they fill, so a procedure's exit values benefit from its
     # (already processed) callees' exit values.
-    obs = scheduler.obs if scheduler is not None else NULL_OBS
     pass_label = "returns-exit" if with_exit_values else "returns"
     table: Dict[str, LatticeValue] = {}
     if with_exit_values:
@@ -396,6 +396,7 @@ def _fi_return_fixpoint(
     aliases: Optional[AliasInfo],
     config: ICPConfig,
     engine: IntraEngine,
+    obs: Observability,
 ) -> Dict[str, LatticeValue]:
     """Optimistic fixpoint over return values with FI entry environments."""
     proc_map = program.procedure_map()
@@ -410,7 +411,10 @@ def _fi_return_fixpoint(
         for proc_name in reversed(pcg.rpo):
             proc = proc_map[proc_name]
             entry_env = fi.entry_env(proc_name, symbols[proc_name])
-            intra = engine.analyze(proc, symbols[proc_name], entry_env, effects)
+            intra, _ = serial_engine_run(
+                obs, engine, "returns-fi", proc, symbols[proc_name],
+                entry_env, effects,
+            )
             value = config.admit(intra.return_value)
             if value != table[proc_name]:
                 table[proc_name] = value

@@ -25,6 +25,13 @@ proc f(a) { print(a); }
 proc g(b) { print(b); }
 """
 
+#: ``f`` calls itself: the returns pass needs its flow-insensitive fixpoint.
+RECURSIVE = """\
+proc main() { call f(3); }
+proc f(a) { if (a > 0) { call f(a - 1); } call g(a); }
+proc g(b) { print(b); }
+"""
+
 
 class TestObservabilityContext:
     def test_null_context_disabled(self):
@@ -205,6 +212,37 @@ class TestEngineRunRecording:
         assert runs == {"main": 1, "f": 1, "g": 1, "dead": 1}
         histograms = obs.metrics.snapshot()["histograms"]
         assert histograms["engine.task_seconds"]["count"] == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fi_return_fixpoint_records_engine_runs(self, workers, monkeypatch):
+        # f calls itself, so the returns pass first solves the
+        # flow-insensitive return fixpoint; its runs must be observed too.
+        from repro.analysis.scc import SCCEngine
+
+        calls = []
+        analyze = SCCEngine.analyze
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0].name)
+            return analyze(self, *args, **kwargs)
+
+        monkeypatch.setattr(SCCEngine, "analyze", counting)
+        obs = Observability.create(trace=True, metrics=True, profile=True)
+        analyze_with(
+            RECURSIVE, obs, workers=workers, propagate_returns=True
+        )
+        runs = {p.name: p.runs for p in obs.profiler.hot_procedures(top=0)}
+        assert sum(runs.values()) == len(calls)
+        histograms = obs.metrics.snapshot()["histograms"]
+        assert histograms["engine.task_seconds"]["count"] == len(calls)
+        fi_spans = [
+            e
+            for e in obs.tracer.events()
+            if e["name"] == "engine"
+            and e["ph"] == "B"
+            and e["args"]["pass_label"] == "returns-fi"
+        ]
+        assert {e["args"]["proc"] for e in fi_spans} == {"main", "f", "g"}
 
 
 class TestResultEquivalence:
