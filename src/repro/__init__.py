@@ -33,11 +33,9 @@ from repro.api import (
     ICPConfig,
     PersistentCache,
     PipelineResult,
-    RemoteStore,
     SummaryStore,
     analyze,
     analyze_program,
-    connect_store,
     open_store,
     parse_program,
 )
@@ -48,11 +46,9 @@ __all__ = [
     "ICPConfig",
     "PersistentCache",
     "PipelineResult",
-    "RemoteStore",
     "SummaryStore",
     "analyze",
     "analyze_program",
-    "connect_store",
     "open_store",
     "parse_program",
 ]

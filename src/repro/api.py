@@ -17,11 +17,10 @@ for the compatibility contract):
   interprocedural lint findings (:class:`Finding`) over one source text or
   an already-computed :class:`PipelineResult`, configured by
   :class:`DiagOptions` and returned as a :class:`DiagnosticsResult`.
-- :func:`open_store` / :func:`connect_store` — the summary-store surface:
-  the tiered cache a config describes (memory → disk → remote), or a bare
-  :class:`RemoteStore` client of a ``repro-icp summary-server``.  The
-  store types themselves (:class:`SummaryStore`, :class:`PersistentCache`,
-  :class:`RemoteStore`) re-export here for typing and direct construction.
+- :func:`open_store` — the summary-store surface: the tiered cache a
+  config describes (memory → disk).  The store types themselves
+  (:class:`SummaryStore`, :class:`PersistentCache`) re-export here for
+  typing and direct construction.
 
 ``analyze_program`` is the historical name of :func:`analyze` and remains an
 alias here.
@@ -41,13 +40,7 @@ from repro.diag import (
 from repro.lang.parser import parse_program
 from repro.sched.cache import SummaryCache
 from repro.session import AnalysisSession, SessionStats
-from repro.store import (
-    PersistentCache,
-    RemoteStore,
-    SummaryStore,
-    cache_from_config,
-)
-from repro.store.remote import DEFAULT_TIMEOUT_MS
+from repro.store import PersistentCache, SummaryStore, cache_from_config
 
 #: Backwards-compatible alias for :func:`analyze`.
 analyze_program = analyze
@@ -60,8 +53,7 @@ def open_store(
 
     Accepts an :class:`ICPConfig` or a plain mapping (routed through
     :meth:`ICPConfig.from_dict`).  With ``store_dir`` set the result is a
-    :class:`PersistentCache` over the crash-safe disk store — plus the
-    fleet-shared remote tier when ``store_remote_url`` is set; with only
+    :class:`PersistentCache` over the crash-safe disk store; with only
     ``cache`` it is the process-local in-memory cache; otherwise
     ``None``.  Hand the result to :class:`AnalysisSession(cache=...)
     <AnalysisSession>` (or use it per ``repro.store`` docs) to share one
@@ -72,21 +64,6 @@ def open_store(
     if not isinstance(config, ICPConfig):
         config = ICPConfig.from_dict(config)
     return cache_from_config(config)
-
-
-def connect_store(
-    url: str, timeout_ms: int = DEFAULT_TIMEOUT_MS
-) -> RemoteStore:
-    """A bare client of a ``repro-icp summary-server`` at ``url``.
-
-    The client is bounded-timeout and fail-open: any network error reads
-    as a miss / no-op, never an exception.  Most callers want
-    :func:`open_store` with ``store_remote_url`` instead — that wires the
-    remote tier *behind* the local ones; ``connect_store`` is for tools
-    that talk the summary protocol directly (probes, replication,
-    cache warming).
-    """
-    return RemoteStore(url, timeout_ms=timeout_ms)
 
 
 __all__ = [
@@ -104,8 +81,6 @@ __all__ = [
     "DiagnosticsResult",
     "Finding",
     "open_store",
-    "connect_store",
     "PersistentCache",
-    "RemoteStore",
     "SummaryStore",
 ]

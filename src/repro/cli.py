@@ -9,8 +9,6 @@ Subcommands::
     tables [N..]   regenerate the paper's tables over the synthetic suite
     bench [NAME..] analyze the synthetic suite in one batched pipeline run
     serve          run the analysis daemon (single-process or sharded)
-    summary-server run the fleet-shared remote summary tier
-    loadgen        drive a serve deployment with concurrent mixed traffic
     top            live dashboard over a fleet's /healthz + /metrics
     watch FILE     keep an analysis session alive, re-analyzing on change
 
@@ -20,7 +18,7 @@ A bare ``repro-icp FILE`` (no subcommand) is shorthand for
 Every flag that sets an :class:`ICPConfig` key (``--jobs``,
 ``--no-floats``, ``--store-dir``, ``--port``, ...) is generated from that
 key's field: its type, choices, help and default.  The analysis flags are
-shared by analyze/check/graph/optimize/bench/serve/loadgen/watch through
+shared by analyze/check/graph/optimize/bench/serve/watch through
 one argparse parent; ``--cache-stats`` also prints the summary cache's
 hit/miss/invalidation counters.  Observability flags: ``--trace
 OUT.json`` exports a Chrome ``trace_event`` file (open in
@@ -269,8 +267,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     obs = _obs_from(args)
     names = args.names or sorted(SUITE)
     tmp_store = None
-    service = None
-    service_tmp = None
     extra = {}
     if args.warm and not getattr(args, "store_dir", None):
         # A warm rerun needs a persistent tier to rerun against.
@@ -278,35 +274,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
         tmp_store = tempfile.TemporaryDirectory(prefix="repro-icp-store-")
         extra["store_dir"] = tmp_store.name
-    if args.warm and not getattr(args, "store_remote_url", None):
-        # The remote-warm leg needs a summary server.  Boot an ephemeral
-        # in-process one on an OS-assigned port; the cold pass write-through
-        # populates it alongside the local tier.
-        import tempfile
-
-        from repro.store.service import SummaryService
-
-        service_tmp = tempfile.TemporaryDirectory(
-            prefix="repro-icp-summaries-"
-        )
-        service = SummaryService(
-            ICPConfig.from_dict(
-                {
-                    "store_dir": service_tmp.name,
-                    "serve_port": 0,
-                    "serve_log_enabled": False,
-                }
-            ),
-            compact_interval=None,
-        )
-        host, port = service.start()
-        extra["store_remote_url"] = f"http://{host}:{port}"
 
     def _cleanup() -> None:
-        if service is not None:
-            service.close()
-        if service_tmp is not None:
-            service_tmp.cleanup()
         if tmp_store is not None:
             tmp_store.cleanup()
 
@@ -370,12 +339,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"(hit rate {cache.hit_rate:.0%}, {cache.entries} entries)"
         )
     warm = None
-    remote_warm = None
     mismatched: List[str] = []
-    remote_mismatched: List[str] = []
     if args.warm:
-        import tempfile
-
         from repro.core.report import analysis_report
 
         cold_reports = {
@@ -406,44 +371,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"local-warm rerun: {warm_wall:.4f}s vs cold {cold_wall:.4f}s "
             f"({reduction:.0%} reduction; engine runs {run.tasks_run} -> "
             f"{warm.tasks_run}, cached {warm.tasks_cached}), {verdict}"
-        )
-
-        # Remote-warm: a fresh, empty local store in front of the same
-        # summary server — every summary is fetched over HTTP and promoted
-        # to the new disk tier; the reports still must not change.
-        with tempfile.TemporaryDirectory(
-            prefix="repro-icp-store-remote-warm-"
-        ) as fresh_dir:
-            remote_config = ICPConfig.from_dict(
-                {**config.to_dict(), "store_dir": fresh_dir}
-            )
-            remote_warm = analyze_suite(
-                names,
-                remote_config,
-                scale=args.scale,
-                obs=None,
-                diagnostics=args.check,
-            )
-            remote_mismatched = [
-                name
-                for name in run.results
-                if cold_reports[name]
-                != analysis_report(remote_warm.results[name])
-            ]
-        remote_wall = sum(remote_warm.wall_seconds.values())
-        remote_reduction = (
-            1.0 - (remote_wall / cold_wall) if cold_wall else 0.0
-        )
-        remote_verdict = (
-            "reports byte-identical"
-            if not remote_mismatched
-            else f"REPORT MISMATCH in {remote_mismatched}"
-        )
-        print(
-            f"remote-warm rerun: {remote_wall:.4f}s vs cold {cold_wall:.4f}s "
-            f"({remote_reduction:.0%} reduction; engine runs "
-            f"{run.tasks_run} -> {remote_warm.tasks_run}, "
-            f"cached {remote_warm.tasks_cached}), {remote_verdict}"
         )
     contexts_section = None
     if getattr(args, "contexts", False):
@@ -478,15 +405,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             run,
             warm=warm,
             mismatched=mismatched,
-            remote_warm=remote_warm,
-            remote_mismatched=remote_mismatched,
             contexts=contexts_section,
         )
         print(f"bench results written to {args.json}", file=sys.stderr)
     if obs is not None:
         _emit_observability(args, obs, run.results.values())
     _cleanup()
-    return 1 if (mismatched or remote_mismatched) else 0
+    return 1 if mismatched else 0
 
 
 def _write_bench_json(
@@ -496,8 +421,6 @@ def _write_bench_json(
     run,
     warm=None,
     mismatched=(),
-    remote_warm=None,
-    remote_mismatched=(),
     contexts=None,
 ) -> None:
     """Machine-readable bench results (the per-PR perf trajectory record)."""
@@ -547,28 +470,13 @@ def _write_bench_json(
             "tasks_cached": warm.tasks_cached,
             "reports_identical": not mismatched,
         }
-    if remote_warm is not None:
-        cold_wall = sum(run.wall_seconds.values())
-        remote_wall = sum(remote_warm.wall_seconds.values())
-        payload["remote_warm"] = {
-            "wall_seconds": remote_wall,
-            "reduction": (
-                1.0 - (remote_wall / cold_wall) if cold_wall else 0.0
-            ),
-            "tasks_run": remote_warm.tasks_run,
-            "tasks_cached": remote_warm.tasks_cached,
-            "reports_identical": not remote_mismatched,
-        }
     if contexts is not None:
         payload["contexts"] = contexts
     try:
-        # The serving benchmark (repro-icp loadgen) owns the "serve"
-        # section of the same file, and --contexts owns "contexts"; a
-        # bench rewrite must not clobber sections it did not regenerate.
+        # --contexts owns the "contexts" section; a bench rewrite without
+        # it keeps the section it did not regenerate.
         with open(path, "r", encoding="utf-8") as handle:
             existing = json.load(handle)
-        if isinstance(existing, dict) and "serve" in existing:
-            payload["serve"] = existing["serve"]
         if (
             contexts is None
             and isinstance(existing, dict)
@@ -580,61 +488,6 @@ def _write_bench_json(
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    """Load-generate against serve deployments and record the results."""
-    from repro.bench.loadgen import (
-        merge_bench_json,
-        run_loadgen,
-        run_shard_comparison,
-    )
-
-    config = _config_from(args)
-    if args.url:
-        result = run_loadgen(
-            args.url,
-            clients=config.loadgen_clients,
-            ops=config.loadgen_ops,
-            programs=config.loadgen_programs,
-            seed=config.loadgen_seed,
-            procs=config.loadgen_procs,
-        )
-        print(
-            f"{args.url}: {result.ok}/{result.ops} ok, "
-            f"{result.reloads} reloads, {result.rejected} rejected, "
-            f"p50 {result.percentile(50) * 1000:.1f}ms, "
-            f"p99 {result.percentile(99) * 1000:.1f}ms, "
-            f"{result.throughput:.1f} ops/s over {result.wall_seconds:.1f}s"
-        )
-        section = {
-            "schema": "repro-icp/loadgen/v1",
-            "cpu_count": os.cpu_count(),
-            "clients": config.loadgen_clients,
-            "ops": config.loadgen_ops,
-            "programs": config.loadgen_programs,
-            "procs_per_program": config.loadgen_procs,
-            "seed": config.loadgen_seed,
-            "url": args.url,
-            "runs": {"external": result.to_dict()},
-        }
-    else:
-        try:
-            counts = sorted(
-                {int(part) for part in args.shards.split(",") if part.strip()}
-            )
-        except ValueError:
-            print(f"error: --shards must be a comma list of ints, "
-                  f"got {args.shards!r}", file=sys.stderr)
-            return 1
-        if not counts or any(count < 1 for count in counts):
-            print("error: --shards needs counts >= 1", file=sys.stderr)
-            return 1
-        section = run_shard_comparison(config, counts)
-    if args.json:
-        merge_bench_json(args.json, section)
-        print(f"serve bench merged into {args.json}", file=sys.stderr)
-    return 0
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
@@ -720,8 +573,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = create_server(config)
     host, port = server.start()
     store_note = f", store {config.store_dir}" if config.store_dir else ""
-    if config.store_remote_url:
-        store_note += f" + remote {config.store_remote_url}"
     shard_note = (
         f", {config.serve_shards} shard process(es)"
         if config.serve_shards
@@ -783,44 +634,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_summary_server(args: argparse.Namespace) -> int:
-    """Run the fleet-shared summary service until interrupted."""
-    from repro.store.service import SummaryService
-
-    config = _config_from(args)
-    compact = None if args.compact_interval <= 0 else args.compact_interval
-    server = SummaryService(config, compact_interval=compact)
-    host, port = server.start()
-    stats = server.blobs.stats
-    print(
-        f"repro-icp summary-server listening on http://{host}:{port} "
-        f"(store {config.store_dir}: {stats.entries} entries, "
-        f"{stats.bytes} bytes, budget {config.store_max_bytes})",
-        file=sys.stderr,
-    )
-    sys.stderr.flush()
-    stop = threading.Event()
-    try:
-        previous_term = signal.signal(
-            signal.SIGTERM, lambda signum, frame: stop.set()
-        )
-    except ValueError:  # not the main thread (embedded use)
-        previous_term = None
-    deadline = time.monotonic() + args.max_seconds
-    try:
-        while not stop.is_set() and (
-            args.max_seconds <= 0 or time.monotonic() < deadline
-        ):
-            stop.wait(0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-        if previous_term is not None:
-            signal.signal(signal.SIGTERM, previous_term)
-    return 0
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     """Live fleet dashboard over /healthz + /metrics."""
     from repro.obs.top import run_top
@@ -853,11 +666,6 @@ _FLAG_NAMES = {
     "serve_metrics": "--no-metrics",
     "serve_log_enabled": "--quiet",
     "serve_log_slow_ms": "--slow-ms",
-    "loadgen_clients": "--clients",
-    "loadgen_ops": "--ops",
-    "loadgen_programs": "--programs",
-    "loadgen_procs": "--procs",
-    "loadgen_seed": "--seed",
 }
 
 
@@ -899,8 +707,7 @@ def _analysis_parent() -> argparse.ArgumentParser:
     for key in (
         "propagate_floats", "propagate_returns", "propagate_exit_values",
         "engine", "context_mode", "context_max_per_proc", "workers", "cache",
-        "store_dir", "store_max_bytes", "store_remote_url",
-        "store_remote_timeout_ms",
+        "store_dir", "store_max_bytes",
     ):
         _config_flag(parent, key)
     return parent
@@ -1012,11 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the diagnostics engine over each benchmark "
                             "and add a finding-count column")
     bench.add_argument("--warm", action="store_true",
-                       help="after the cold run, rerun the suite local-warm "
-                            "(same store) and remote-warm (fresh store in "
-                            "front of a summary server, ephemeral unless "
-                            "--store-remote-url) and verify all three "
-                            "reports are byte-identical")
+                       help="after the cold run, rerun the suite over the "
+                            "same store (local-warm) and verify both reports "
+                            "are byte-identical")
     bench.add_argument("--contexts", action="store_true",
                        help="run the recursion-heavy profiles under both "
                             "context modes and report the precision/cost "
@@ -1040,27 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "for smoke tests and CI")
     serve.set_defaults(func=_cmd_serve)
 
-    summary = sub.add_parser(
-        "summary-server",
-        help="run the fleet-shared summary service (content-addressed "
-             "GET/PUT/HEAD over /v1/summaries/<key>)",
-    )
-    _config_flag(summary, "store_dir", required=True)
-    _config_flag(summary, "serve_port", default=8200)
-    for key in ("store_max_bytes", "serve_host", "serve_log_enabled",
-                "serve_metrics", "serve_log_slow_ms"):
-        _config_flag(summary, key)
-    summary.add_argument("--compact-interval", type=float, default=30.0,
-                         metavar="SECONDS", dest="compact_interval",
-                         help="background compaction period folding sibling "
-                              "writers into the budget; <= 0 disables "
-                              "(default: 30)")
-    summary.add_argument("--max-seconds", type=float, default=0, metavar="S",
-                         dest="max_seconds",
-                         help="exit after S seconds (default: 0 = until "
-                              "^C); for smoke tests and CI")
-    summary.set_defaults(func=_cmd_summary_server)
-
     top = sub.add_parser(
         "top",
         help="live dashboard over a serve fleet's /healthz + /metrics",
@@ -1077,28 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="append frames instead of clearing the screen "
                           "(useful when piping)")
     top.set_defaults(func=_cmd_top)
-
-    loadgen = sub.add_parser(
-        "loadgen", parents=[common, obs_flags],
-        help="drive a serve deployment with concurrent mixed traffic and "
-             "record p50/p99 latency + saturation throughput",
-    )
-    for key in ("loadgen_clients", "loadgen_ops", "loadgen_programs",
-                "loadgen_procs", "loadgen_seed"):
-        _config_flag(loadgen, key)
-    # Fewer resident sessions than programs: the capacity-pressure knob.
-    _config_flag(loadgen, "serve_max_sessions", default=7)
-    loadgen.add_argument("--shards", default="1,4", metavar="LIST",
-                         help="comma list of shard counts to boot and "
-                              "compare; 1 = single-process daemon "
-                              "(default: 1,4)")
-    loadgen.add_argument("--url", metavar="URL",
-                         help="drive an already-running daemon at URL "
-                              "instead of booting deployments")
-    loadgen.add_argument("--json", metavar="OUT.json",
-                         help="merge the results into OUT.json's \"serve\" "
-                              "section (e.g. BENCH_icp.json)")
-    loadgen.set_defaults(func=_cmd_loadgen)
 
     watch = sub.add_parser(
         "watch", parents=[common, obs_flags],
@@ -1117,13 +879,18 @@ def build_parser() -> argparse.ArgumentParser:
 #: flag) is treated as a file to analyze.
 _SUBCOMMANDS = (
     "analyze", "check", "graph", "optimize", "run", "tables", "bench",
-    "serve", "summary-server", "watch", "loadgen", "top",
+    "serve", "watch", "top",
 )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in _SUBCOMMANDS and not argv[0].startswith("-"):
+        if not os.path.exists(argv[0]):
+            # Not a file to analyze: one line, not an argparse usage dump.
+            print(f"error: {argv[0]!r} is neither a subcommand "
+                  f"({', '.join(_SUBCOMMANDS)}) nor a file", file=sys.stderr)
+            return 2
         argv.insert(0, "analyze")
     args = build_parser().parse_args(argv)
     try:

@@ -119,18 +119,6 @@ class ICPConfig:
         "used entries beyond it",
         min=1,
     )
-    store_remote_url: Optional[str] = _key(
-        None,
-        "http(s) base URL of a repro-icp summary-server, a fleet-shared "
-        "tier behind store_dir (which it requires): misses fetch from it, "
-        "writes replicate to it, outages fail open",
-    )
-    store_remote_timeout_ms: int = _key(
-        250,
-        "per-request deadline of the remote tier in milliseconds; past "
-        "it the lookup reads as a miss",
-        min=1,
-    )
     serve_host: str = _key("127.0.0.1", "bind address of the serving daemon")
     serve_port: int = _key(
         8100, "bind port of the serving daemon (0 picks a free one)",
@@ -195,24 +183,6 @@ class ICPConfig:
     serve_log_ring: int = _key(
         256, "access-log entries retained for GET /v1/debug/last", min=1
     )
-    loadgen_clients: int = _key(
-        8, "concurrent client threads of repro-icp loadgen", min=1
-    )
-    loadgen_ops: int = _key(
-        400, "total operations loadgen issues across its clients", min=1
-    )
-    loadgen_programs: int = _key(
-        20, "distinct programs in loadgen's working set", min=1
-    )
-    loadgen_procs: int = _key(
-        20,
-        "procedures per generated loadgen program; sizes a cold load "
-        "against a warm query",
-        min=1,
-    )
-    loadgen_seed: int = _key(
-        0, "seed of loadgen's generated corpus, edit scripts and traffic mix"
-    )
     diag_rules: Optional[Tuple[str, ...]] = _key(
         None,
         "rule IDs the diagnostics engine runs (None runs every rule in "
@@ -252,17 +222,6 @@ class ICPConfig:
         for name, value in normalized.items():
             _check(name, value)
         config = cls(**normalized)
-        if config.store_remote_url is not None:
-            if not config.store_remote_url.startswith(("http://", "https://")):
-                raise ConfigError(
-                    f"store_remote_url must be an http(s) base URL or None, "
-                    f"got {config.store_remote_url!r}"
-                )
-            if config.store_dir is None:
-                raise ConfigError(
-                    "store_remote_url requires store_dir: the remote tier "
-                    "sits behind the local disk tier, never replaces it"
-                )
         from repro.diag.findings import RULES, SEVERITIES
 
         if config.diag_severity_floor not in SEVERITIES:

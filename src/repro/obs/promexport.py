@@ -14,7 +14,7 @@ for the serve fleet's ``GET /metrics`` endpoints:
   ``{shard="N"}``, all under a single ``# TYPE`` header per metric.
 
 :func:`parse_prometheus_text` is the matching reader used by
-``repro-icp top``, the loadgen scraper, and the CI smoke assertions; it
+``repro-icp top`` and the CI smoke assertions; it
 round-trips everything :func:`render_prometheus` emits.
 """
 

@@ -55,8 +55,8 @@ spelling::
     GET    /v1/programs/<id>/diagnostics interprocedural lint findings
     DELETE /v1/programs/<id>              drop the session
 
-The ``repro-icp summary-server`` daemon (:mod:`repro.store.service`)
-shares this front and adds ``GET/PUT/HEAD /v1/summaries/<key>``.
+Any other route, and every ``PUT`` or ``HEAD``, answers 404 through the
+same envelope (request id echoed, logged, counted).
 """
 
 from __future__ import annotations
@@ -91,12 +91,11 @@ RETRY_AFTER_SECONDS = 1
 #: The HTTP API version: every route lives under ``/v1/...``.
 API_VERSION = "v1"
 
-#: Response payloads are JSON objects, except ``/metrics`` which is text
-#: and ``/v1/summaries/<key>`` which is raw entry bytes.
-Payload = Union[Dict[str, Any], str, bytes]
+#: Response payloads are JSON objects, except ``/metrics`` which is text.
+Payload = Union[Dict[str, Any], str]
 
-#: Request bodies are JSON objects, except summary uploads (raw bytes).
-Body = Union[Dict[str, Any], bytes, None]
+#: Request bodies are JSON objects.
+Body = Optional[Dict[str, Any]]
 
 
 def split_api_version(path: str) -> Tuple[str, bool]:
@@ -143,7 +142,7 @@ def _endpoint_class(method: str, path: str) -> str:
     if not parts:
         return "other"
     head = parts[0]
-    if head in ("healthz", "stats", "metrics", "summaries"):
+    if head in ("healthz", "stats", "metrics"):
         return head
     if head == "debug":
         return "debug"
@@ -399,12 +398,7 @@ class JSONHTTPFront:
 
             def _finish(self, status, payload, headers, head=False):
                 headers = dict(headers)
-                if isinstance(payload, bytes):
-                    data = payload
-                    content_type = headers.pop(
-                        "Content-Type", "application/octet-stream"
-                    )
-                elif isinstance(payload, str):
+                if isinstance(payload, str):
                     data = payload.encode("utf-8")
                     content_type = headers.pop(
                         "Content-Type", "text/plain; charset=utf-8"
@@ -427,15 +421,6 @@ class JSONHTTPFront:
 
             def _body(self):
                 length = int(self.headers.get("Content-Length") or 0)
-                content_type = (
-                    (self.headers.get("Content-Type") or "")
-                    .split(";")[0]
-                    .strip()
-                    .lower()
-                )
-                if content_type == "application/octet-stream":
-                    # Summary uploads: raw entry bytes, never JSON.
-                    return self.rfile.read(length) if length else b""
                 if not length:
                     return {}
                 raw = self.rfile.read(length)
@@ -542,9 +527,6 @@ class AnalysisServer(JSONHTTPFront):
             shard=shard_index,
         )
         self.stats = ServeStats()
-        # store_from_config wires the whole tier stack: local blob
-        # directory plus, with store_remote_url set, the fail-open
-        # fleet-shared remote client.
         self.store: Optional[SummaryStore] = store_from_config(
             self.config, obs=self.obs
         )
@@ -832,7 +814,7 @@ class AnalysisServer(JSONHTTPFront):
         if self.store is None:
             return None
         s = self.store.stats
-        payload = {
+        return {
             "dir": self.store.root,
             "hits": s.hits,
             "misses": s.misses,
@@ -843,14 +825,6 @@ class AnalysisServer(JSONHTTPFront):
             "entries": s.entries,
             "dedup_writes": s.dedup_writes,
         }
-        if self.store.remote is not None:
-            payload["remote"] = {
-                "url": self.store.remote.url,
-                "hits": s.remote_hits,
-                "misses": s.remote_misses,
-                "errors": s.remote_errors,
-            }
-        return payload
 
     def _healthz_payload(self) -> Dict[str, Any]:
         """Liveness, shard identity, session residency, and store stats.
@@ -905,7 +879,7 @@ class AnalysisServer(JSONHTTPFront):
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         """Route one request; returns (status, payload, extra headers)."""
-        body = body if isinstance(body, dict) else {}
+        body = body or {}
         parsed = urlparse(path)
         query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
         parts = [p for p in parsed.path.split("/") if p]
@@ -1008,5 +982,3 @@ class AnalysisServer(JSONHTTPFront):
     def close(self) -> None:
         super().close()
         self._pool.shutdown(wait=False)
-        if self.store is not None:
-            self.store.close()

@@ -1,12 +1,9 @@
-"""The byte-level tier shared by the local store and the summary service.
+"""The byte-level tier under the local summary store.
 
 A :class:`BlobStore` is a size-bounded, crash-safe directory of opaque
 blobs addressed by sha256-hex keys.  It knows nothing about the entry
 codec or :class:`IntraResult` — the typed
-:class:`~repro.store.store.SummaryStore` layers entry decoding on top,
-and the ``repro-icp summary-server`` daemon serves the blobs verbatim
-over HTTP (clients validate content, so the service never needs to
-decode).
+:class:`~repro.store.store.SummaryStore` layers entry decoding on top.
 
 Layout (one directory per store)::
 
@@ -26,15 +23,14 @@ Durability and tolerance guarantees:
 - **Bounded size.**  ``max_bytes`` caps the blobs' aggregate size;
   inserts evict least-recently-used blobs (mtime order — reads bump
   mtime) until the budget holds.
-- **Background compaction.**  :meth:`start_compaction` runs
-  :meth:`compact` on a daemon thread: it re-scans the directory (so
-  entries written by *other* processes sharing the store enter this
-  process's size accounting), sweeps stale tempfiles, and re-enforces
-  the budget.  Long-lived daemons (the summary service) run it; batch
-  pipelines don't need to.
+- **Compaction.**  :meth:`compact` re-scans the directory (so entries
+  written by *other* processes sharing the store enter this process's
+  size accounting), sweeps stale tempfiles, and re-enforces the budget.
+  Nothing runs it on a timer: each process bounds only the entries it
+  tracks itself.
 - **Cross-program dedup accounting.**  A ``put`` whose key already holds
   byte-identical content skips the write and counts a ``dedup_write`` —
-  the fleet-wide "computed once" saving the content-addressed keys buy.
+  the "computed once" saving the content-addressed keys buy.
 
 Concurrent readers/writers across processes are safe in the crash sense
 (atomic replace, tolerated disappearing files); two daemons sharing one
@@ -72,7 +68,7 @@ class BlobStats:
     evictions: int = 0
     #: Blobs dropped as corrupt at a caller's request (:meth:`delete`).
     corrupt_dropped: int = 0
-    #: Compaction passes completed (foreground or background).
+    #: Compaction passes completed.
     compactions: int = 0
     #: Aggregate blob bytes currently on disk.
     bytes: int = 0
@@ -98,8 +94,6 @@ class BlobStore:
         self._lock = threading.Lock()
         self._sizes: Dict[str, int] = {}
         self.stats = BlobStats()
-        self._compactor: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self._open()
 
     # ------------------------------------------------------------------
@@ -122,13 +116,6 @@ class BlobStore:
                 version_path, (STORE_VERSION + "\n").encode("utf-8")
             )
         self._scan(sweep_age=0.0)
-
-    def close(self) -> None:
-        """Stop the background compactor, if one is running."""
-        self._stop.set()
-        compactor, self._compactor = self._compactor, None
-        if compactor is not None:
-            compactor.join(timeout=5.0)
 
     def _wipe_entries(self) -> None:
         for name in self._listdir():
@@ -211,10 +198,6 @@ class BlobStore:
             pass
         return raw
 
-    def has(self, key: str) -> bool:
-        """Whether a blob exists, without reading it or bumping recency."""
-        return os.path.exists(self._path(key))
-
     def put(self, key: str, data: bytes) -> bool:
         """Store one blob atomically, then enforce the size budget.
 
@@ -222,8 +205,8 @@ class BlobStore:
         store degrades to a smaller/no cache, never an exception).  A
         put whose key already holds identical bytes is counted as a
         dedup and skipped — content-addressed keys make re-analysis of
-        an identical procedure (another program, another tenant) land on
-        the same blob.
+        an identical procedure (another program, another process) land
+        on the same blob.
         """
         metrics = self.obs.metrics
         with self._lock:
@@ -311,24 +294,6 @@ class BlobStore:
         if metrics.enabled:
             metrics.counter("store.compactions").inc()
         return summary
-
-    def start_compaction(self, interval_seconds: float) -> None:
-        """Run :meth:`compact` every ``interval_seconds`` on a daemon thread."""
-        if interval_seconds <= 0:
-            raise ValueError(
-                f"compaction interval must be positive, got {interval_seconds}"
-            )
-        if self._compactor is not None:
-            return
-
-        def loop() -> None:
-            while not self._stop.wait(interval_seconds):
-                self.compact()
-
-        self._compactor = threading.Thread(
-            target=loop, name="store-compactor", daemon=True
-        )
-        self._compactor.start()
 
     def clear(self) -> None:
         """Remove every blob (the version stamp stays)."""

@@ -5,10 +5,6 @@ from the scheduler's point of view — same slots, same keys, same stats —
 but misses fall through to a :class:`~repro.store.store.SummaryStore`
 and stores write through to it.  Entries promoted from disk land in the
 memory tier, so one process pays the entry decode at most once per key.
-When the store carries a :class:`~repro.store.remote.RemoteStore` tier,
-the same fall-through transparently reaches the fleet-shared summary
-service: memory → local disk → remote HTTP, each tier promoting into
-the one above it.
 
 Disk entries carry no engine ``detail`` (see :mod:`repro.store.codec`);
 an in-memory hit that originated on disk therefore reports ``None``

@@ -1,21 +1,7 @@
-"""The serve load generator: corpus determinism, stats math, bench merge."""
+"""The serve workload's edit scripts and corpus: determinism and shape."""
 
-import json
-
-import pytest
-
-from repro.bench.loadgen import (
-    LoadgenCorpus,
-    LoadgenResult,
-    _scrape_delta,
-    edit_script,
-    merge_bench_json,
-    run_loadgen,
-    scrape_server_counters,
-)
-from repro.core.config import ICPConfig
+from repro.bench.loadgen import LoadgenCorpus, edit_script
 from repro.lang.parser import parse_program
-from repro.serve import AnalysisServer
 
 
 class TestEditScript:
@@ -45,150 +31,3 @@ class TestEditScript:
         assert len(pristine) == 4
         rebuilt = LoadgenCorpus.build(programs=4, seed=0, edits=2)
         assert rebuilt.versions == corpus.versions
-
-
-class TestResultMath:
-    def test_percentiles_interpolate(self):
-        result = LoadgenResult()
-        for value in (0.1, 0.2, 0.3, 0.4):
-            result.record("report", value)
-        assert result.percentile(0) == pytest.approx(0.1)
-        assert result.percentile(50) == pytest.approx(0.25)
-        assert result.percentile(100) == pytest.approx(0.4)
-        assert result.percentile(50, "report") == pytest.approx(0.25)
-        assert result.percentile(50, "missing") == 0.0
-
-    def test_throughput_and_to_dict(self):
-        result = LoadgenResult(ops=10, ok=8, wall_seconds=2.0)
-        result.record("report", 0.05)
-        assert result.throughput == pytest.approx(4.0)
-        data = result.to_dict()
-        assert data["ok"] == 8
-        assert data["throughput_ops_per_s"] == pytest.approx(4.0)
-        assert data["latency"]["all"]["count"] == 1
-        assert data["latency"]["report"]["p50_ms"] == pytest.approx(50.0)
-
-    def test_empty_result_is_zeroed(self):
-        result = LoadgenResult()
-        assert result.throughput == 0.0
-        assert result.percentile(99) == 0.0
-
-
-class TestMergeBenchJson:
-    def test_preserves_existing_sections(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text(
-            json.dumps({"schema": "repro-icp/bench/v1", "cold": {"x": 1}})
-        )
-        merge_bench_json(str(path), {"runs": {}})
-        data = json.loads(path.read_text())
-        assert data["cold"] == {"x": 1}
-        assert data["serve"] == {"runs": {}}
-        # Re-merging replaces only the serve section.
-        merge_bench_json(str(path), {"runs": {"1": {}}})
-        data = json.loads(path.read_text())
-        assert data["cold"] == {"x": 1}
-        assert data["serve"] == {"runs": {"1": {}}}
-
-    def test_missing_file_starts_fresh(self, tmp_path):
-        path = tmp_path / "new.json"
-        merge_bench_json(str(path), {"runs": {}})
-        data = json.loads(path.read_text())
-        assert data["schema"] == "repro-icp/bench/v1"
-        assert data["serve"] == {"runs": {}}
-
-    def test_corrupt_file_starts_fresh(self, tmp_path):
-        path = tmp_path / "corrupt.json"
-        path.write_text("{nope")
-        merge_bench_json(str(path), {"runs": {}})
-        data = json.loads(path.read_text())
-        assert data["serve"] == {"runs": {}}
-
-
-class TestServerScrape:
-    def test_scrape_reads_the_live_metrics_endpoint(self, tmp_path):
-        config = ICPConfig.from_dict(
-            {"serve_port": 0, "serve_workers": 1}
-        )
-        server = AnalysisServer(config)
-        try:
-            host, port = server.start()
-            base_url = f"http://{host}:{port}"
-            counters = scrape_server_counters(base_url)
-            assert counters is not None
-            assert set(counters) == {
-                "requests", "rejected_503", "timeout_504",
-                "degraded", "store_hits", "store_misses",
-            }
-            again = scrape_server_counters(base_url)
-        finally:
-            server.close()
-        # The second scrape saw the first one's own request.
-        assert again["requests"] > counters["requests"]
-
-    def test_scrape_is_none_without_a_server(self):
-        assert scrape_server_counters("http://127.0.0.1:9") is None
-
-    def test_scrape_is_none_when_metrics_are_disabled(self):
-        config = ICPConfig.from_dict(
-            {"serve_port": 0, "serve_workers": 1, "serve_metrics": False}
-        )
-        server = AnalysisServer(config)
-        try:
-            host, port = server.start()
-            assert scrape_server_counters(f"http://{host}:{port}") is None
-        finally:
-            server.close()
-
-    def test_delta_math_and_failed_scrapes(self):
-        before = {"requests": 5.0, "degraded": 1.0}
-        after = {"requests": 9.0, "degraded": 1.0, "store_hits": 2.0}
-        assert _scrape_delta(before, after) == {
-            "requests": 4.0, "degraded": 0.0, "store_hits": 2.0,
-        }
-        assert _scrape_delta(None, after) is None
-        assert _scrape_delta(before, None) is None
-
-    def test_result_dict_carries_the_server_section(self):
-        result = LoadgenResult(ops=1, ok=1, wall_seconds=1.0)
-        assert result.to_dict()["server"] is None
-        result.server = {"requests": 3.0}
-        assert result.to_dict()["server"] == {"requests": 3.0}
-
-
-@pytest.mark.slow
-class TestRunLoadgen:
-    def test_short_run_against_a_live_daemon(self, tmp_path):
-        config = ICPConfig.from_dict(
-            {
-                "serve_port": 0,
-                "serve_workers": 1,
-                "store_dir": str(tmp_path / "store"),
-            }
-        )
-        server = AnalysisServer(config)
-        try:
-            host, port = server.start()
-            result = run_loadgen(
-                f"http://{host}:{port}",
-                clients=2,
-                ops=20,
-                programs=3,
-                seed=1,
-                edits=2,
-            )
-        finally:
-            server.close()
-        assert result.ops == 20
-        assert result.ok + result.rejected + result.errors == 20
-        assert result.errors == 0
-        assert result.wall_seconds > 0
-        assert result.throughput > 0
-        data = result.to_dict()
-        assert data["latency"]["all"]["count"] == result.ok
-        assert data["latency"]["all"]["p99_ms"] >= data["latency"]["all"][
-            "p50_ms"
-        ]
-        # The bracketing /metrics scrape recorded the server-side ledger.
-        assert result.server is not None
-        assert result.server["requests"] >= result.ops

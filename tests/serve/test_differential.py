@@ -11,13 +11,31 @@ The broad replay runs over in-process ``LocalShard`` backends; a smaller
 replay exercises real spawned worker processes over real sockets.
 """
 
+import http.client
 import json
 
 import pytest
 
-from repro.bench.loadgen import LoadgenCorpus, _http_request
+from repro.bench.loadgen import LoadgenCorpus
 from repro.core.config import ICPConfig
 from repro.serve import AnalysisServer, ShardRouter, create_server
+
+
+def _http_json(host, port, method, path, body=None):
+    """One request over a real socket; returns (status, JSON payload)."""
+    conn = http.client.HTTPConnection(host, port, timeout=120)
+    try:
+        data = json.dumps(body).encode("utf-8") if body is not None else None
+        conn.request(
+            method,
+            "/v1" + path,
+            body=data,
+            headers={"Content-Type": "application/json"} if data else {},
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 def _canon(payload):
@@ -135,12 +153,11 @@ class TestProcessShardDifferential:
         )
         try:
             host, port = router.start()
-            base = f"http://{host}:{port}"
             sharded = _replay(
-                lambda m, p, b=None: _http_request(base, m, p, b), corpus
+                lambda m, p, b=None: _http_json(host, port, m, p, b), corpus
             )
             # The corpus really was spread across worker processes.
-            _, health = _http_request(base, "GET", "/healthz")
+            _, health = _http_json(host, port, "GET", "/healthz")
             populated = [
                 s for s in health["shards"] if s["programs"] > 0
             ]

@@ -13,8 +13,7 @@ import urllib.request
 import pytest
 
 from repro.core.config import ICPConfig
-from repro.serve import RETRY_AFTER_SECONDS, AnalysisServer
-from repro.store.service import SummaryService
+from repro.serve import RETRY_AFTER_SECONDS, AnalysisServer, ShardRouter
 
 SOURCE = """\
 proc main() { call sub1(0); }
@@ -477,25 +476,21 @@ class TestHTTP:
         finally:
             srv.close()
 
-    @pytest.mark.parametrize("front", ["daemon", "summary-service"])
-    def test_keep_alive_responses_do_not_wait_for_a_delayed_ack(
-        self, tmp_path, front
-    ):
+    @pytest.mark.parametrize("front", ["daemon", "router"])
+    def test_keep_alive_responses_do_not_wait_for_a_delayed_ack(self, front):
         # The headers and the body leave in two writes: with Nagle's
         # algorithm on, the body would wait about 40 ms for the client's
-        # delayed ACK of the headers.
-        config = {"serve_port": 0, "serve_log_enabled": False}
+        # delayed ACK of the headers.  The router case proxies the report.
+        config = ICPConfig.from_dict(
+            {"serve_port": 0, "serve_log_enabled": False}
+        )
         if front == "daemon":
-            srv = AnalysisServer(ICPConfig.from_dict(config))
-            path = "/v1/programs/p1/report"
-            srv.dispatch("POST", "/programs/p1", {"source": SOURCE})
-            srv.dispatch("GET", "/programs/p1/report")
+            srv = AnalysisServer(config)
         else:
-            config["store_dir"] = str(tmp_path / "summaries")
-            srv = SummaryService(
-                ICPConfig.from_dict(config), compact_interval=None
-            )
-            path = "/v1/healthz"
+            srv = ShardRouter.local(config, shards=1)
+        path = "/v1/programs/p1/report"
+        srv.dispatch("POST", "/programs/p1", {"source": SOURCE})
+        srv.dispatch("GET", "/programs/p1/report")
         host, port = srv.start()
         conn = http.client.HTTPConnection(host, port, timeout=10)
         try:
@@ -508,6 +503,29 @@ class TestHTTP:
                 assert response.status == 200
                 latencies.append(time.perf_counter() - started)
             assert statistics.median(latencies) < 0.020
+        finally:
+            conn.close()
+            srv.close()
+
+    @pytest.mark.parametrize("method", ["PUT", "HEAD"])
+    def test_put_and_head_answer_an_enveloped_404(self, method):
+        srv = _server(serve_port=0, serve_log_enabled=False)
+        host, port = srv.start()
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request(
+                method,
+                "/v1/programs/p1",
+                headers={"X-Repro-Request-Id": "verb-probe"},
+            )
+            response = conn.getresponse()
+            body = response.read()
+            assert response.status == 404
+            assert response.getheader("X-Repro-Request-Id") == "verb-probe"
+            if method == "PUT":
+                assert "no route for PUT" in json.loads(body)["error"]
+            else:
+                assert body == b""
         finally:
             conn.close()
             srv.close()

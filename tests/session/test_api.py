@@ -92,19 +92,6 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="serve_rebalance"):
             ICPConfig.from_dict({"serve_rebalance": "fast"})
 
-    def test_loadgen_knobs_validated(self):
-        config = ICPConfig.from_dict(
-            {"loadgen_clients": 2, "loadgen_ops": 10,
-             "loadgen_programs": 3, "loadgen_procs": 6, "loadgen_seed": 7}
-        )
-        assert ICPConfig.from_dict(config.to_dict()) == config
-        for knob in ("loadgen_clients", "loadgen_ops", "loadgen_programs",
-                     "loadgen_procs"):
-            with pytest.raises(ValueError, match=knob):
-                ICPConfig.from_dict({knob: 0})
-        with pytest.raises(ValueError, match="loadgen_seed"):
-            ICPConfig.from_dict({"loadgen_seed": 1.5})
-
     def test_suite_accepts_mapping(self):
         from repro.bench.suite import analyze_suite
 

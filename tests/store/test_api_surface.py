@@ -3,9 +3,9 @@
 import pytest
 
 import repro
-from repro.api import ICPConfig, connect_store, open_store
+from repro.api import ICPConfig, open_store
 from repro.sched.cache import SummaryCache
-from repro.store import PersistentCache, RemoteStore
+from repro.store import PersistentCache
 
 
 class TestOpenStore:
@@ -31,66 +31,18 @@ class TestOpenStore:
 
     def test_invalid_mapping_raises(self):
         with pytest.raises(ValueError):
-            open_store({"store_remote_url": "http://127.0.0.1:1"})
+            open_store({"store_max_bytes": 0})
 
 
-class TestConnectStore:
-    def test_returns_remote_client(self):
-        remote = connect_store("http://127.0.0.1:8200")
-        assert isinstance(remote, RemoteStore)
-        assert remote.url == "http://127.0.0.1:8200"
-
+class TestTopLevelExports:
     def test_names_reexported_at_top_level(self):
-        for name in (
-            "open_store",
-            "connect_store",
-            "PersistentCache",
-            "RemoteStore",
-            "SummaryStore",
-        ):
+        for name in ("open_store", "PersistentCache", "SummaryStore"):
             assert hasattr(repro, name), name
 
 
 class TestConfigKeys:
     def test_round_trip(self, tmp_path):
-        data = {
-            "store_dir": str(tmp_path / "s"),
-            "store_max_bytes": 1024,
-            "store_remote_url": "http://127.0.0.1:8200",
-            "store_remote_timeout_ms": 100,
-        }
+        data = {"store_dir": str(tmp_path / "s"), "store_max_bytes": 1024}
         config = ICPConfig.from_dict(data)
-        assert config.store_remote_url == "http://127.0.0.1:8200"
-        assert config.store_remote_timeout_ms == 100
+        assert config.store_max_bytes == 1024
         assert ICPConfig.from_dict(config.to_dict()) == config
-
-    def test_defaults_keep_remote_off(self):
-        config = ICPConfig()
-        assert config.store_remote_url is None
-        assert config.store_remote_timeout_ms == 250
-
-    def test_remote_url_requires_store_dir(self):
-        with pytest.raises(ValueError, match="store_dir"):
-            ICPConfig.from_dict(
-                {"store_remote_url": "http://127.0.0.1:8200"}
-            )
-
-    def test_remote_url_must_be_http(self, tmp_path):
-        with pytest.raises(ValueError, match="http"):
-            ICPConfig.from_dict(
-                {
-                    "store_dir": str(tmp_path / "s"),
-                    "store_remote_url": "tcp://127.0.0.1:8200",
-                }
-            )
-
-    def test_timeout_must_be_positive_int(self, tmp_path):
-        base = {
-            "store_dir": str(tmp_path / "s"),
-            "store_remote_url": "http://127.0.0.1:8200",
-        }
-        for bad in (0, -5, True, "250"):
-            with pytest.raises(ValueError):
-                ICPConfig.from_dict(
-                    {**base, "store_remote_timeout_ms": bad}
-                )

@@ -35,13 +35,12 @@ def _fill(root: str, writer: int) -> None:
     store = BlobStore(root, max_bytes=MAX_BYTES)
     for index in range(ENTRIES_PER_WRITER):
         store.put(_key(writer, index), _payload(_key(writer, index)))
-    store.close()
 
 
 class TestConcurrentWriters:
     def test_racing_writers_never_corrupt_surviving_entries(self, tmp_path):
         root = str(tmp_path / "store")
-        BlobStore(root, max_bytes=MAX_BYTES).close()  # stamp VERSION once
+        BlobStore(root, max_bytes=MAX_BYTES)  # stamp VERSION once
         ctx = multiprocessing.get_context("spawn")
         workers = [
             ctx.Process(target=_fill, args=(root, writer))
@@ -69,7 +68,6 @@ class TestConcurrentWriters:
         # And the survivors are still intact afterwards.
         for key in list(store._sizes):
             assert store.get(key) == _payload(key)
-        store.close()
 
     def test_sibling_eviction_during_get_reads_as_miss(self, tmp_path):
         # A GET losing the race with a sibling's eviction must answer
@@ -81,4 +79,3 @@ class TestConcurrentWriters:
         store.put(key, _payload(key))
         os.remove(os.path.join(root, "entries", key + ".json"))
         assert store.get(key) is None
-        store.close()

@@ -171,6 +171,17 @@ class TestDefaultSubcommand:
         assert main([source_file, "--timings"]) == 0
         assert "icp_fs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv", [["loadgen"], ["loadgen", "--url", "http://127.0.0.1:1"]]
+    )
+    def test_unknown_word_is_a_one_line_error(self, argv, capsys):
+        # Neither a subcommand (loadgen was removed) nor a file: one line,
+        # not an argparse usage dump or a file-not-found traceback.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'loadgen' is neither a subcommand" in err
+
 
 class TestObservability:
     def test_trace_artifact_is_valid_chrome_trace(
@@ -549,43 +560,6 @@ class TestTop:
         assert main(["top", "--url", "http://127.0.0.1:9",
                      "--frames", "1", "--no-clear"]) == 1
         assert "top:" in capsys.readouterr().err
-
-
-class TestLoadgen:
-    def test_rejects_bad_shard_list(self, capsys):
-        assert main(["loadgen", "--shards", "1,banana"]) == 1
-        assert "--shards" in capsys.readouterr().err
-
-    def test_rejects_bad_knobs(self, capsys):
-        assert main(["loadgen", "--clients", "0"]) == 1
-        assert "loadgen_clients" in capsys.readouterr().err
-        assert main(["loadgen", "--procs", "0"]) == 1
-        assert "loadgen_procs" in capsys.readouterr().err
-
-    def test_url_mode_drives_an_external_daemon(self, tmp_path, capsys):
-        from repro.core.config import ICPConfig
-        from repro.serve import AnalysisServer
-
-        server = AnalysisServer(
-            ICPConfig.from_dict(
-                {"serve_port": 0, "store_dir": str(tmp_path / "store")}
-            )
-        )
-        host, port = server.start()
-        out_json = str(tmp_path / "bench.json")
-        try:
-            assert main(
-                ["loadgen", "--url", f"http://{host}:{port}",
-                 "--clients", "2", "--ops", "12", "--programs", "2",
-                 "--procs", "4", "--json", out_json]
-            ) == 0
-        finally:
-            server.close()
-        assert "ops/s" in capsys.readouterr().out
-        data = json.loads(open(out_json).read())
-        serve = data["serve"]
-        assert serve["procs_per_program"] == 4
-        assert serve["runs"]["external"]["ops"] == 12
 
 
 class TestCheck:
