@@ -876,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Subcommand names; a leading argument that is none of these (and not a
-#: flag) is treated as a file to analyze.
+#: flag) must name a file, which is analyzed.
 _SUBCOMMANDS = (
     "analyze", "check", "graph", "optimize", "run", "tables", "bench",
     "serve", "watch", "top",
