@@ -31,13 +31,13 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.callgraph.pcg import PCG
 from repro.core.config import ICPConfig
 from repro.ir.builder import build_cfg
 from repro.ir.cfg import ArrayStoreInstr, AssignInstr, CallInstr, Ret
-from repro.ir.eval import EvalError, apply_binary
+from repro.ir.eval import EvalError, apply_binary, apply_unary
 from repro.ir.lattice import BOTTOM, TOP, Const, LatticeValue, meet
 from repro.lang import ast
 from repro.lang.symbols import ProcedureSymbols
@@ -184,10 +184,20 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
 
 @dataclass(frozen=True)
 class SymValue:
-    """TOP (unexecuted), an exact polynomial, or BOTTOM (not polynomial)."""
+    """TOP (unexecuted), an exact polynomial, or BOTTOM (not polynomial).
+
+    A polynomial value also records what decides its runtime type, which
+    the polynomial alone loses when terms cancel: ``2.0 * 0`` runs to the
+    float ``0.0`` and ``f - f`` to ``0.0`` for a float ``f``, yet both
+    normalize to the integer polynomial ``0``.  The value is a float iff
+    ``float_typed`` holds or one of the ``type_vars`` formals is a float
+    (``+``, ``-`` and ``*`` promote on any float operand).
+    """
 
     tag: int  # 0 = TOP, 1 = poly, 2 = BOTTOM
     poly: Optional[Poly] = None
+    float_typed: bool = False
+    type_vars: FrozenSet[str] = frozenset()
 
     @property
     def is_top(self) -> bool:
@@ -208,13 +218,38 @@ class SymValue:
             return "SBOTTOM"
         return f"S({self.poly})"
 
+    @property
+    def constant(self) -> Optional[Value]:
+        """The runtime constant, or None if it depends on a formal's value or type."""
+        if self.type_vars or not self.poly.is_constant:
+            return None
+        return self.evaluate({})
+
+    def evaluate(self, env: Dict[str, Value]) -> Value:
+        """The runtime value under concrete formal values (may raise EvalError)."""
+        value = self.poly.evaluate(env)
+        if not isinstance(value, float) and (
+            self.float_typed
+            or any(isinstance(env[var], float) for var in self.type_vars)
+        ):
+            value = apply_binary("+", value, 0.0)  # promote as the runtime does
+        return value
+
 
 STOP = SymValue(0)
 SBOTTOM = SymValue(2)
 
 
-def spoly(poly: Poly) -> SymValue:
-    return SymValue(1, poly)
+def spoly(
+    poly: Poly,
+    float_typed: bool = False,
+    type_vars: Optional[FrozenSet[str]] = None,
+) -> SymValue:
+    """A polynomial value; its own float coefficients and variables count."""
+    float_typed = float_typed or any(isinstance(c, float) for _, c in poly.terms)
+    if type_vars is None:
+        type_vars = frozenset(poly.variables())
+    return SymValue(1, poly, float_typed, type_vars)
 
 
 def sym_meet(a: SymValue, b: SymValue) -> SymValue:
@@ -222,9 +257,7 @@ def sym_meet(a: SymValue, b: SymValue) -> SymValue:
         return b
     if b.is_top:
         return a
-    if a.is_bottom or b.is_bottom:
-        return SBOTTOM
-    if a.poly == b.poly:
+    if a == b:
         return a
     return SBOTTOM
 
@@ -244,7 +277,7 @@ def sym_eval(expr: ast.Expr, env: Dict[str, SymValue]) -> SymValue:
         if not operand.is_poly:
             return operand if operand.is_top else SBOTTOM
         if expr.op == "-":
-            return spoly(operand.poly.neg())
+            return spoly(operand.poly.neg(), operand.float_typed, operand.type_vars)
         return _fold_unary(expr.op, operand)
     if isinstance(expr, ast.Binary):
         left = sym_eval(expr.left, env)
@@ -253,32 +286,34 @@ def sym_eval(expr: ast.Expr, env: Dict[str, SymValue]) -> SymValue:
             return STOP
         if not (left.is_poly and right.is_poly):
             return SBOTTOM
+        float_typed = left.float_typed or right.float_typed
+        type_vars = left.type_vars | right.type_vars
         if expr.op == "+":
-            return spoly(left.poly.add(right.poly))
+            return spoly(left.poly.add(right.poly), float_typed, type_vars)
         if expr.op == "-":
-            return spoly(left.poly.sub(right.poly))
+            return spoly(left.poly.sub(right.poly), float_typed, type_vars)
         if expr.op == "*":
-            return spoly(left.poly.mul(right.poly))
+            return spoly(left.poly.mul(right.poly), float_typed, type_vars)
         # Division, remainder, comparisons, logicals: fold only when both
         # sides are constants (truncating division does not distribute).
-        if left.poly.is_constant and right.poly.is_constant:
-            try:
-                folded = apply_binary(
-                    expr.op, left.poly.constant_value, right.poly.constant_value
-                )
-            except EvalError:
+        try:
+            lhs, rhs = left.constant, right.constant
+            if lhs is None or rhs is None:
                 return SBOTTOM
-            return spoly(Poly.constant(folded))
-        return SBOTTOM
+            return spoly(Poly.constant(apply_binary(expr.op, lhs, rhs)))
+        except EvalError:
+            return SBOTTOM
     raise TypeError(f"unknown expression node {expr!r}")
 
 
 def _fold_unary(op: str, operand: SymValue) -> SymValue:
-    if operand.is_poly and operand.poly.is_constant:
-        from repro.ir.eval import apply_unary
-
-        return spoly(Poly.constant(apply_unary(op, operand.poly.constant_value)))
-    return SBOTTOM
+    try:
+        value = operand.constant
+    except EvalError:
+        return SBOTTOM
+    if value is None:
+        return SBOTTOM
+    return spoly(Poly.constant(apply_unary(op, value)))
 
 
 # ----------------------------------------------------------------------
@@ -314,15 +349,17 @@ class JumpFunction:
         if sym.is_bottom:
             return BOTTOM
         poly = sym.poly
-        if poly.is_constant:
-            return config.admit(Const(poly.constant_value))
-        if kind is JumpFunctionKind.PASS_THROUGH:
-            if poly.is_identity:
+        if sym.type_vars and kind is JumpFunctionKind.PASS_THROUGH:
+            if (
+                poly.is_identity
+                and not sym.float_typed
+                and sym.type_vars == {poly.identity_var}
+            ):
                 return config.admit(formal_values.get(poly.identity_var, BOTTOM))
             return BOTTOM
-        # POLYNOMIAL: substitute constant formal values.
+        # A constant, or POLYNOMIAL: substitute constant formal values.
         env: Dict[str, Value] = {}
-        for var in poly.variables():
+        for var in sym.type_vars:
             value = formal_values.get(var, BOTTOM)
             if value.is_top:
                 return TOP
@@ -330,7 +367,7 @@ class JumpFunction:
                 return BOTTOM
             env[var] = value.const_value
         try:
-            return config.admit(Const(poly.evaluate(env)))
+            return config.admit(Const(sym.evaluate(env)))
         except EvalError:
             return BOTTOM
 

@@ -14,7 +14,7 @@ from repro.core.jump_functions import (
     sym_meet,
 )
 from repro.ir.eval import EvalError
-from repro.ir.lattice import BOTTOM, Const
+from repro.ir.lattice import BOTTOM, Const, values_equal
 from repro.lang.parser import parse_expression
 from tests.helpers import analyze
 
@@ -118,6 +118,23 @@ class TestSymbolicEval:
     def test_unknown_var_bottom(self):
         assert self.eval("z + 1") == SBOTTOM
 
+    def test_cancelled_float_keeps_its_type(self):
+        # 2.0 * 0 normalizes to the integer polynomial 0 but runs to 0.0.
+        value = self.eval("2.0 * 0")
+        assert value.poly == Poly.constant(0)
+        assert values_equal(value.constant, 0.0)
+
+    def test_cancelled_formal_keeps_its_type(self):
+        # f - f runs to 0 for an integer f and to 0.0 for a float f.
+        value = self.eval("f - f")
+        assert value.poly == Poly.constant(0) and value.constant is None
+        assert values_equal(value.evaluate({"f": 3}), 0)
+        assert values_equal(value.evaluate({"f": 1.5}), 0.0)
+
+    def test_meet_tells_types_apart(self):
+        assert sym_meet(self.eval("0"), self.eval("2.0 * 0")) == SBOTTOM
+        assert sym_meet(self.eval("g"), self.eval("g + f - f")) == SBOTTOM
+
     def test_meet(self):
         a = spoly(Poly.variable("f"))
         assert sym_meet(STOP, a) == a
@@ -217,6 +234,35 @@ class TestPolynomialPropagation:
         )
         assert solution.formal_value("f", "k") == Const(3)
         assert solution.formal_value("f", "n") == BOTTOM
+
+    @pytest.mark.parametrize("kind", [
+        JumpFunctionKind.INTRA,
+        JumpFunctionKind.PASS_THROUGH,
+        JumpFunctionKind.POLYNOMIAL,
+    ])
+    def test_cancelled_float_argument_stays_float(self, kind):
+        solution = solve(
+            """
+            proc main() { call f(4 / 2.0 * (100 * 0)); }
+            proc f(a) { print(a); }
+            """,
+            kind,
+        )
+        value = solution.formal_value("f", "a")
+        assert value.is_const and values_equal(value.const_value, 0.0)
+
+    def test_cancelled_formal_takes_its_type(self):
+        source = """
+            proc main() { call f(1.5); }
+            proc f(a) { call g(a - a); }
+            proc g(b) { print(b); }
+        """
+        value = solve(source, JumpFunctionKind.POLYNOMIAL).formal_value("g", "b")
+        assert value.is_const and values_equal(value.const_value, 0.0)
+        # Without a's value the type of a - a is unknown.
+        assert solve(source, JumpFunctionKind.PASS_THROUGH).formal_value(
+            "g", "b"
+        ) == BOTTOM
 
     def test_float_filter(self):
         result = analyze("proc main() { call f(2.5); } proc f(a) { print(a); }")
