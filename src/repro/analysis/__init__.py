@@ -16,7 +16,7 @@ from repro.analysis.transform import TransformResult, transform_program
 def make_engine(name: str) -> IntraEngine:
     """A fresh intraprocedural engine for ``ICPConfig.engine``.
 
-    The one factory shared by the pipeline and the scheduler's task runner.
+    The one factory the pipeline's engine passes share.
     """
     if name == "scc":
         return SCCEngine()

@@ -14,9 +14,9 @@ A *context* is a pair (procedure, entry environment).  The table starts
 with one root context — the entry procedure under the block-data initial
 globals — and grows monotonically:
 
-1. Analyze every pending context with the intraprocedural engine (batched
-   through the wavefront scheduler when one is engaged, so the summary
-   cache memoizes per-context results under context-qualified slots).
+1. Analyze every pending context with the intraprocedural engine, through
+   the scheduler (so a summary cache memoizes per-context results under
+   context-qualified slots).
 2. For each *executable* call site of an analyzed context, build the
    callee's entry environment from the propagated argument and global
    values and request the context (callee, env): an exact match reuses the
@@ -61,7 +61,7 @@ recorder-based sanitizer verifies this empirically in both modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.analysis.base import (
     CallEffects,
@@ -76,13 +76,11 @@ from repro.core.flow_insensitive import FIResult
 from repro.ir.lattice import BOTTOM, Const, LatticeValue, meet, meet_all
 from repro.lang import ast
 from repro.lang.symbols import ProcedureSymbols
-from repro.obs import NULL_OBS
 from repro.sched.cache import (
     config_fingerprint,
     env_fingerprint,
     procedure_fingerprint,
 )
-from repro.sched.pool import serial_engine_run
 from repro.sched.scheduler import AnalysisTask, Scheduler
 from repro.summary.alias import AliasInfo
 from repro.summary.modref import ModRefInfo
@@ -107,8 +105,8 @@ class ContextStats:
     """What the value-context tabulation did (deterministic analysis facts).
 
     Everything here is a pure function of the program and configuration —
-    independent of worker count or cache warmth — so it may appear in the
-    byte-identity report surface.
+    independent of cache warmth — so it may appear in the byte-identity
+    report surface.
     """
 
     mode: str = "value-contexts"
@@ -193,7 +191,7 @@ class _Tabulation:
         engine: IntraEngine,
         effects: CallEffects,
         result,  # FSResult, duck-typed to avoid an import cycle
-        scheduler: Optional[Scheduler] = None,
+        scheduler: Scheduler,
     ):
         self.program = program
         self.symbols = symbols
@@ -205,10 +203,7 @@ class _Tabulation:
         self.engine = engine
         self.effects = effects
         self.result = result
-        self.scheduler = (
-            scheduler if scheduler is not None and scheduler.engaged else None
-        )
-        self.obs = scheduler.obs if scheduler is not None else NULL_OBS
+        self.scheduler = scheduler
         self.proc_map = program.procedure_map()
 
         #: proc -> env fingerprint -> Context (insertion = creation order).
@@ -380,57 +375,35 @@ class _Tabulation:
         return batch
 
     def _analyze(self, batch: List[Context]) -> None:
-        if self.scheduler is not None:
-            self._analyze_scheduled(batch)
-            return
-        for ctx in batch:
-            intra, seconds = serial_engine_run(
-                self.obs, self.engine, "fs", self.proc_map[ctx.proc_name],
-                self.symbols[ctx.proc_name], dict(ctx.env), self.effects,
-                context=ctx.env_fp,
-            )
-            self.result.intra_seconds += seconds
-            ctx.intra = intra
-            ctx.runs += 1
-
-    def _analyze_scheduled(self, batch: List[Context]) -> None:
         # Lazy import: flow_sensitive imports this module for mode dispatch.
         from repro.core.flow_sensitive import fs_effects_fingerprint
 
         scheduler = self.scheduler
-        tasks: List[Tuple[Context, AnalysisTask]] = []
         for ctx in batch:
+            proc = self.proc_map[ctx.proc_name]
             proc_symbols = self.symbols[ctx.proc_name]
             context_fp = env_fingerprint(ctx.env)
             fingerprints: tuple = ()
             if scheduler.cache is not None:
                 fingerprints = (
-                    procedure_fingerprint(self.proc_map[ctx.proc_name]),
+                    procedure_fingerprint(proc),
                     context_fp,
                     fs_effects_fingerprint(
                         ctx.proc_name, proc_symbols, self.effects, self.aliases
                     ),
                     self._config_fp,
                 )
-            tasks.append(
-                (
-                    ctx,
-                    AnalysisTask(
-                        proc_name=ctx.proc_name,
-                        proc=self.proc_map[ctx.proc_name],
-                        symbols=proc_symbols,
-                        entry_env=dict(ctx.env),
-                        effects=self.effects,
-                        engine=self.config.engine,
-                        pass_label="fs",
-                        fingerprints=fingerprints,
-                        context=context_fp,
-                    ),
-                )
+            ctx.intra = scheduler.run(
+                self.engine,
+                AnalysisTask(
+                    proc=proc,
+                    symbols=proc_symbols,
+                    entry_env=dict(ctx.env),
+                    effects=self.effects,
+                    fingerprints=fingerprints,
+                    context=context_fp,
+                ),
             )
-        outcomes = scheduler.run_level([task for _, task in tasks])
-        for ctx, task in tasks:
-            ctx.intra = outcomes[task.key]
             ctx.runs += 1
 
     def _propagate(self, ctx: Context) -> None:
@@ -617,16 +590,13 @@ def value_contexts_icp(
     engine: IntraEngine,
     effects: CallEffects,
     result,
-    scheduler: Optional[Scheduler] = None,
+    scheduler: Scheduler,
 ) -> None:
     """Fill ``result`` (an FSResult) with the value-context solution."""
     tabulation = _Tabulation(
         program, symbols, pcg, modref, aliases, fi, config, engine,
         effects, result, scheduler,
     )
-    if scheduler is not None and scheduler.engaged:
-        before = scheduler.stats.analysis_seconds
-        tabulation.run()
-        result.intra_seconds += scheduler.stats.analysis_seconds - before
-    else:
-        tabulation.run()
+    before = scheduler.stats.analysis_seconds
+    tabulation.run()
+    result.intra_seconds += scheduler.stats.analysis_seconds - before

@@ -79,7 +79,7 @@ def transform_program(
         in ``obs`` under the pass label ``transform``.
     """
     # Imported here: repro.sched imports this package.
-    from repro.sched.pool import serial_engine_run
+    from repro.sched.scheduler import serial_engine_run
 
     details = details or {}
     engine = SCCEngine()

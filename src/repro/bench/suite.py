@@ -459,7 +459,7 @@ def build_benchmark_source(profile: BenchmarkProfile, scale: int = 1) -> str:
 
 
 # ----------------------------------------------------------------------
-# Batched suite analysis (shared scheduler pool + summary cache).
+# Batched suite analysis (one pipeline, one shared summary cache).
 # ----------------------------------------------------------------------
 
 
@@ -509,11 +509,10 @@ def analyze_suite(
     """Analyze suite benchmarks through one shared pipeline.
 
     All requested benchmarks run through a single
-    :class:`~repro.core.driver.CompilationPipeline`: with ``config.workers``
-    above one, each program's wavefront levels dispatch to the worker pool,
-    and with ``config.cache`` set, the procedure-summary cache persists
-    across the whole batch — re-analyzing the suite on the same pipeline is
-    then almost entirely cache hits.
+    :class:`~repro.core.driver.CompilationPipeline`: with ``config.cache``
+    set, the procedure-summary cache persists across the whole batch —
+    re-analyzing the suite on the same pipeline is then almost entirely
+    cache hits.
 
     ``config`` may also be a plain mapping; it goes through the validated
     :meth:`~repro.core.config.ICPConfig.from_dict` path.

@@ -15,7 +15,7 @@ Subcommands::
 A bare ``repro-icp FILE`` (no subcommand) is shorthand for
 ``repro-icp analyze FILE``.
 
-Every flag that sets an :class:`ICPConfig` key (``--jobs``,
+Every flag that sets an :class:`ICPConfig` key (``--cache-stats``,
 ``--no-floats``, ``--store-dir``, ``--port``, ...) is generated from that
 key's field: its type, choices, help and default.  The analysis flags are
 shared by analyze/check/graph/optimize/bench/serve/watch through
@@ -229,6 +229,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for value in outcome.outputs:
         print(value)
     return 0
+
+
+def _table_number(text: str) -> int:
+    """One ``tables`` argument: a number from 1 to 5.
+
+    Checked here rather than with ``choices``: argparse tests an empty
+    ``nargs="*"`` positional's ``[]`` against its choices, which rejects
+    a bare ``tables``.
+    """
+    if text not in ("1", "2", "3", "4", "5"):
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text} (choose from 1, 2, 3, 4, 5)"
+        )
+    return int(text)
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -445,8 +459,6 @@ def _write_bench_json(
             programs[name]["findings"] = run.findings.get(name, {})
     payload = {
         "schema": "repro-icp/bench/v1",
-        "workers": config.workers,
-        "executor": config.executor,
         "cache": config.cache,
         "scale": args.scale,
         "engine": config.engine,
@@ -654,7 +666,6 @@ _FLAG_NAMES = {
     "propagate_floats": "--no-floats",
     "propagate_returns": "--returns",
     "propagate_exit_values": "--exit-values",
-    "workers": "--jobs",
     "cache": "--cache-stats",
     "serve_host": "--host",
     "serve_port": "--port",
@@ -706,7 +717,7 @@ def _analysis_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     for key in (
         "propagate_floats", "propagate_returns", "propagate_exit_values",
-        "engine", "context_mode", "context_max_per_proc", "workers", "cache",
+        "engine", "context_mode", "context_max_per_proc", "cache",
         "store_dir", "store_max_bytes",
     ):
         _config_flag(parent, key)
@@ -800,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     tables = sub.add_parser("tables", help="regenerate the paper's tables")
-    tables.add_argument("numbers", nargs="*", type=int, choices=range(1, 6),
+    tables.add_argument("numbers", nargs="*", type=_table_number,
                         metavar="N", help="table numbers (default: all)")
     tables.set_defaults(func=_cmd_tables)
 

@@ -92,17 +92,6 @@ class ICPConfig:
         "maximally conservatively)",
     )
     entry: str = _key("main", "name of the root procedure")
-    workers: int = _key(
-        1,
-        "wavefront scheduler workers: 1 analyzes serially, 0 uses every "
-        "CPU core, N > 1 runs each call-graph level on N workers",
-        min=0,
-    )
-    executor: str = _key(
-        "thread",
-        "worker pool flavor (process pays per-task pickling)",
-        choices=("thread", "process"),
-    )
     cache: bool = _key(
         False,
         "memoize per-procedure results in a content-addressed summary "
@@ -203,7 +192,7 @@ class ICPConfig:
         The one construction path shared by the CLI, ``bench.suite``, and
         analysis sessions.  Unknown keys raise
         :class:`~repro.errors.ConfigError` (a ``ValueError``), catching
-        typos like ``worker`` early, as does any value that does not fit
+        typos like ``caching`` early, as does any value that does not fit
         its field's type and allowed values.  Omitted keys take the field
         defaults.
         """

@@ -67,7 +67,7 @@ class PipelineResult:
     transform: Optional[TransformResult] = None
     timings: Dict[str, float] = field(default_factory=dict)
     config: ICPConfig = field(default_factory=ICPConfig)
-    #: What the wavefront scheduler did (worker/level/cache counters).
+    #: What the engine passes did (run/cached/reused counts, cache deltas).
     sched: Optional[SchedulerStats] = None
     #: The observability context the run recorded into (``None`` when the
     #: run was not instrumented — the default).
@@ -218,7 +218,7 @@ def engine_phases(
 ) -> PipelineResult:
     """Flow-sensitive ICP, USE, returns and transform over ``front``.
 
-    One scheduler (behind ``cache``) runs the engine passes.  An
+    One scheduler (behind ``cache``) serves the engine passes.  An
     incremental session passes its clean region as ``fs_reuse`` and
     ``use_reuse``.  The run's ``timings`` go to the profiler once, here.
     """
@@ -226,35 +226,33 @@ def engine_phases(
     aliases, modref, fi = front.aliases, front.modref, front.fi
     timings = front.timings
     phase = partial(timed_phase, timings, obs.tracer)
-    scheduler = Scheduler.from_config(config, cache=cache, obs=obs)
+    scheduler = Scheduler(cache=cache, obs=obs)
     engine = make_engine(config.engine)
-    try:
-        # 5. Interprocedural constant propagation, flow-sensitive part.
-        fs = phase(
-            "icp_fs", flow_sensitive_icp,
-            program, symbols, pcg, modref, aliases, fi, config, engine,
-            scheduler=scheduler, reuse=fs_reuse,
-        )
 
-        # 6. Reverse topological traversal: USE, returns, transformation.
-        use = phase(
-            "use", compute_use, program, symbols, pcg, modref,
-            scheduler=scheduler, reuse=use_reuse,
+    # 5. Interprocedural constant propagation, flow-sensitive part.
+    fs = phase(
+        "icp_fs", flow_sensitive_icp,
+        program, symbols, pcg, modref, aliases, fi, config, engine,
+        scheduler=scheduler, reuse=fs_reuse,
+    )
+
+    # 6. Reverse topological traversal: USE, returns, transformation.
+    use = phase(
+        "use", compute_use, program, symbols, pcg, modref, reuse=use_reuse
+    )
+    returns: Optional[ReturnsResult] = None
+    # The returns pass's engine runs, kept for the transformation only.
+    returns_runs: Optional[Dict[str, IntraResult]] = (
+        {} if run_transform else None
+    )
+    if config.propagate_returns or config.propagate_exit_values:
+        returns = phase(
+            "returns", compute_returns,
+            program, symbols, pcg, modref, fs, fi, aliases, config, engine,
+            with_exit_values=config.propagate_exit_values,
+            scheduler=scheduler, runs=returns_runs,
         )
-        returns: Optional[ReturnsResult] = None
-        # The returns pass's engine runs, kept for the transformation only.
-        returns_runs: Optional[Dict[str, IntraResult]] = (
-            {} if run_transform else None
-        )
-        if config.propagate_returns or config.propagate_exit_values:
-            returns = phase(
-                "returns", compute_returns,
-                program, symbols, pcg, modref, fs, fi, aliases, config, engine,
-                with_exit_values=config.propagate_exit_values,
-                scheduler=scheduler, runs=returns_runs,
-            )
-    finally:
-        sched_stats = scheduler.finish()
+    sched_stats = scheduler.finish()
 
     transform: Optional[TransformResult] = None
     if run_transform:
@@ -423,8 +421,6 @@ class CompilationPipeline:
             cat="pipeline",
             entry=config.entry,
             engine=config.engine,
-            workers=config.workers,
-            executor=config.executor,
             cache=config.cache,
         ):
             front = whole_program_phases(source, config, self.obs)

@@ -37,14 +37,12 @@ from repro.core.flow_insensitive import FIResult, flow_insensitive_icp
 from repro.ir.lattice import BOTTOM, Const, LatticeValue, meet_all
 from repro.lang import ast
 from repro.lang.symbols import ProcedureSymbols
-from repro.obs import NULL_OBS
 from repro.sched.cache import (
     config_fingerprint,
     effects_fingerprint,
     env_fingerprint,
     procedure_fingerprint,
 )
-from repro.sched.pool import serial_engine_run
 from repro.sched.scheduler import AnalysisTask, Scheduler
 from repro.summary.alias import AliasInfo
 from repro.summary.modref import ModRefInfo
@@ -144,15 +142,16 @@ def flow_sensitive_icp(
     edges and no ``fi`` solution was supplied — exactly the paper's "only if
     there are cycles in the PCG".
 
-    With an engaged ``scheduler`` the forward traversal is executed as a
-    *wavefront*: procedures on the same dependency level are analyzed
-    concurrently (and memoized when the scheduler carries a summary cache).
-    The scheduled solution is identical to the serial one — only edges from
-    callers strictly earlier in RPO carry a dependency, and any edge between
-    same-level procedures is by construction a fallback edge.
+    Every engine run goes through ``scheduler``, which serves it from its
+    summary cache when it has one.  With ``reuse``, procedures in the clean
+    set copy their previous results instead of being fingerprinted or
+    analyzed at all; entry environments for *dirty* procedures still read
+    the copied tables, so a clean caller feeds its callees exactly the
+    values it fed them last run.
     """
     config = config or ICPConfig()
     engine = engine or make_engine(config.engine)
+    scheduler = scheduler or Scheduler()
 
     if config.context_mode == "value-contexts":
         # Value-context tabulation (Padhye & Khedker): per-entry-environment
@@ -176,85 +175,23 @@ def flow_sensitive_icp(
     effects = effects or SummaryEffects(modref, aliases)
     proc_map = program.procedure_map()
     analyzed: Set[str] = set()
-
-    if reuse is not None and (scheduler is None or not scheduler.engaged):
-        raise ValueError(
-            "incremental reuse requires an engaged scheduler "
-            "(workers > 1 or a summary cache)"
-        )
-
-    if scheduler is not None and scheduler.engaged:
-        _scheduled_forward(
-            program, symbols, pcg, modref, aliases, fi, config,
-            result, effects, proc_map, scheduler, reuse,
-        )
-        return result
-
-    obs = scheduler.obs if scheduler is not None else NULL_OBS
-    for position, proc_name in enumerate(pcg.rpo):
-        proc_symbols = symbols[proc_name]
-        entry_env = _build_entry_env(
-            proc_name, position, proc_symbols, program, pcg, modref,
-            fi, config, result, analyzed,
-        )
-        intra, seconds = serial_engine_run(
-            obs, engine, "fs", proc_map[proc_name], proc_symbols, entry_env,
-            effects,
-        )
-        result.intra_seconds += seconds
-        result.intra[proc_name] = intra
-        analyzed.add(proc_name)
-    return result
-
-
-def _scheduled_forward(
-    program: ast.Program,
-    symbols: Dict[str, ProcedureSymbols],
-    pcg: PCG,
-    modref: ModRefInfo,
-    aliases: Optional[AliasInfo],
-    fi: Optional[FIResult],
-    config: ICPConfig,
-    result: FSResult,
-    effects: CallEffects,
-    proc_map: Dict[str, ast.Procedure],
-    scheduler: Scheduler,
-    reuse: Optional[FSReuse] = None,
-) -> None:
-    """One wavefront per dependency level, entry environments built between.
-
-    Entry environments are constructed on the coordinating thread (they
-    mutate the shared result tables); only the engine analyses — the
-    expensive part — are dispatched to workers.
-
-    With ``reuse``, procedures in the clean set copy their previous results
-    instead of being fingerprinted or dispatched at all; entry environments
-    for *dirty* procedures still read the copied tables, so a clean caller
-    feeds its callees exactly the values it fed them last run.
-    """
-    wavefront = scheduler.wavefront(pcg)
-    analyzed: Set[str] = set()
     clean: FrozenSet[str] = reuse.clean if reuse is not None else frozenset()
     config_fp = config_fingerprint(
         config.engine, config.propagate_floats, program.global_names, "fs",
     )
     seconds_before = scheduler.stats.analysis_seconds
 
-    for level in wavefront.forward_levels:
-        tasks: List[AnalysisTask] = []
-        for proc_name in level:
-            if proc_name in clean:
-                _copy_previous(
-                    proc_name, reuse.previous, result, symbols, program,
-                    pcg, modref,
-                )
-                analyzed.add(proc_name)
-                scheduler.stats.tasks_reused += 1
-                continue
-            proc_symbols = symbols[proc_name]
+    for proc_name in pcg.rpo:
+        proc_symbols = symbols[proc_name]
+        if proc_name in clean:
+            _copy_previous(
+                proc_name, reuse.previous, result, symbols, program, pcg, modref,
+            )
+            scheduler.stats.tasks_reused += 1
+        else:
             entry_env = _build_entry_env(
-                proc_name, pcg.rpo_position(proc_name), proc_symbols,
-                program, pcg, modref, fi, config, result, analyzed,
+                proc_name, proc_symbols, program, pcg, modref, fi, config,
+                result, analyzed,
             )
             fingerprints: tuple = ()
             if scheduler.cache is not None:
@@ -264,61 +201,19 @@ def _scheduled_forward(
                     fs_effects_fingerprint(proc_name, proc_symbols, effects, aliases),
                     config_fp,
                 )
-            tasks.append(
+            result.intra[proc_name] = scheduler.run(
+                engine,
                 AnalysisTask(
-                    proc_name=proc_name,
                     proc=proc_map[proc_name],
                     symbols=proc_symbols,
                     entry_env=entry_env,
                     effects=effects,
-                    engine=config.engine,
-                    pass_label="fs",
                     fingerprints=fingerprints,
-                )
+                ),
             )
-        if not tasks:
-            continue  # every level member was clean: nothing to dispatch
-        outcomes = scheduler.run_level(tasks)
-        for task in tasks:
-            result.intra[task.proc_name] = outcomes[task.proc_name]
-            analyzed.add(task.proc_name)
-
+        analyzed.add(proc_name)
     result.intra_seconds += scheduler.stats.analysis_seconds - seconds_before
-    # Tables were filled level-major; restore the serial traversal's orders
-    # (RPO, formals in declaration order, globals as serially enumerated) so
-    # scheduled and serial results are byte-identical, iteration included.
-    result.fallback_edges = [
-        edge
-        for proc_name in pcg.rpo
-        if proc_name != pcg.entry
-        for edge in pcg.edges_into(proc_name)
-        if edge in pcg.fallback_edges
-    ]
-    result.intra = {
-        proc_name: result.intra[proc_name]
-        for proc_name in pcg.rpo
-        if proc_name in result.intra
-    }
-    result.entry_formals = _reordered(
-        result.entry_formals,
-        (
-            (proc_name, formal)
-            for proc_name in pcg.rpo
-            for formal in symbols[proc_name].formals
-        ),
-    )
-    result.entry_globals = _reordered(
-        result.entry_globals,
-        (
-            (proc_name, global_name)
-            for proc_name in pcg.rpo
-            for global_name in (
-                list(program.initial_globals())
-                if proc_name == pcg.entry
-                else sorted(modref.ref_globals(proc_name))
-            )
-        ),
-    )
+    return result
 
 
 def _copy_previous(
@@ -335,16 +230,21 @@ def _copy_previous(
     The dirty-region computation guarantees the copied keys exist: a
     procedure whose formal list, referenced-global set, or reachability
     could have changed is never classified clean (``repro.session`` also
-    demotes procedures with incomplete previous tables defensively).
+    demotes procedures with incomplete previous tables defensively).  The
+    tables fill as :func:`_build_entry_env` fills them, fallback edges
+    included.
     """
     result.intra[proc_name] = previous.intra[proc_name]
     if proc_name in previous.fs_reachable:
         result.fs_reachable.add(proc_name)
     if proc_name == pcg.entry:
-        # The serial path records no entry formals for the root procedure
-        # (its imaginary call carries block-data globals only).
+        # The root procedure records no entry formals (its imaginary call
+        # carries block-data globals only) and no fallback edges.
         global_names = list(program.initial_globals())
     else:
+        result.fallback_edges.extend(
+            edge for edge in pcg.edges_into(proc_name) if pcg.is_fallback(edge)
+        )
         for formal in symbols[proc_name].formals:
             key = (proc_name, formal)
             result.entry_formals[key] = previous.entry_formals[key]
@@ -352,12 +252,6 @@ def _copy_previous(
     for name in global_names:
         key = (proc_name, name)
         result.entry_globals[key] = previous.entry_globals[key]
-
-
-def _reordered(table: Dict, key_order) -> Dict:
-    ordered = {key: table[key] for key in key_order if key in table}
-    ordered.update((key, value) for key, value in table.items() if key not in ordered)
-    return ordered
 
 
 def fs_effects_fingerprint(
@@ -387,7 +281,6 @@ def fs_effects_fingerprint(
 
 def _build_entry_env(
     proc_name: str,
-    rpo_position: int,
     proc_symbols: ProcedureSymbols,
     program: ast.Program,
     pcg: PCG,

@@ -78,19 +78,9 @@ class PropagatedConstants:
 
 @dataclass
 class SchedulingMetrics:
-    """Wavefront/cache counters of one pipeline run (``--cache-stats``).
-
-    ``parallel_fraction`` is the share of forward-level slots that could run
-    concurrently — 0.0 when every wavefront level holds a single procedure
-    (a pure call chain), approaching 1.0 for wide, flat call graphs.
-    """
+    """Engine-run and cache counters of one pipeline run (``--cache-stats``)."""
 
     name: str
-    workers: int = 1
-    executor: str = "thread"
-    forward_levels: int = 0
-    reverse_levels: int = 0
-    max_level_width: int = 0
     tasks_run: int = 0
     tasks_cached: int = 0
     tasks_reused: int = 0
@@ -109,13 +99,6 @@ class SchedulingMetrics:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
-    @property
-    def parallel_fraction(self) -> float:
-        if not self.tasks_total or not self.forward_levels:
-            return 0.0
-        extra = self.tasks_total - self.forward_levels
-        return max(0.0, extra / self.tasks_total)
-
 
 def scheduling_metrics(
     name: str, sched: Optional[SchedulerStats]
@@ -124,11 +107,6 @@ def scheduling_metrics(
     row = SchedulingMetrics(name=name)
     if sched is None:
         return row
-    row.workers = sched.workers
-    row.executor = sched.executor
-    row.forward_levels = sched.forward_levels
-    row.reverse_levels = sched.reverse_levels
-    row.max_level_width = sched.max_level_width
     row.tasks_run = sched.tasks_run
     row.tasks_cached = sched.tasks_cached
     row.tasks_reused = sched.tasks_reused
@@ -166,11 +144,6 @@ def absorb_pipeline_metrics(registry, result) -> None:
     """
     sched = result.sched
     if sched is not None:
-        registry.gauge("sched.workers").set(sched.workers)
-        registry.gauge("sched.executor").set(sched.executor)
-        registry.gauge("sched.forward_levels").set(sched.forward_levels)
-        registry.gauge("sched.reverse_levels").set(sched.reverse_levels)
-        registry.gauge("sched.max_level_width").max(sched.max_level_width)
         registry.gauge("sched.tasks_total").set(sched.tasks_total)
         registry.gauge("sched.analysis_seconds").set(sched.analysis_seconds)
         if sched.cache is not None:
@@ -184,7 +157,7 @@ def absorb_pipeline_metrics(registry, result) -> None:
     registry.gauge("fs.fallback_edges").set(len(result.fs.fallback_edges))
     for phase, seconds in result.timings.items():
         registry.gauge(f"phase.{phase}.seconds").set(seconds)
-    # Serial runs with the metrics registry off during analysis still get
+    # Runs with the metrics registry off during analysis still get
     # SCC visit totals: sum them from the per-procedure engine details.
     if not registry.snapshot()["counters"]:
         totals: Dict[str, int] = {}

@@ -79,15 +79,12 @@ def procedure_report(result: PipelineResult, proc: str) -> str:
 
 
 def scheduling_report(result: PipelineResult) -> str:
-    """Scheduler and summary-cache counters for one run."""
+    """Engine-run and summary-cache counters for one run."""
     sched = result.sched
     if sched is None:
         return "scheduling: (not recorded)"
     lines = [
         "scheduling:",
-        f"  workers: {sched.workers} ({sched.executor} executor)",
-        f"  wavefront levels: {sched.forward_levels} forward, "
-        f"{sched.reverse_levels} reverse (max width {sched.max_level_width})",
         f"  analyses: {sched.tasks_run} run, {sched.tasks_cached} cached, "
         f"{sched.tasks_reused} reused "
         f"({sched.analysis_seconds:.6f}s engine time)",
@@ -199,9 +196,7 @@ def diagnostics_report(diag, path: str = None) -> str:
 def full_report(result: PipelineResult) -> str:
     """Report every reachable procedure, in call-graph order."""
     parts: List[str] = [analysis_report(result)]
-    if result.sched is not None and (
-        result.sched.workers > 1 or result.sched.cache is not None
-    ):
+    if result.sched is not None and result.sched.cache is not None:
         parts.append(scheduling_report(result))
     if result.obs is not None and result.obs.profiler.enabled:
         parts.append(observability_report(result))

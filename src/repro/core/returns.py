@@ -19,7 +19,7 @@ to the FI return solution for callees not yet processed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.analysis import make_engine
 from repro.analysis.base import IntraEngine, IntraResult
@@ -31,15 +31,14 @@ from repro.core.flow_sensitive import FSResult, fs_effects_fingerprint
 from repro.ir.lattice import BOTTOM, TOP, LatticeValue, meet
 from repro.lang import ast
 from repro.lang.symbols import CallSite, ProcedureSymbols
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Observability
 from repro.sched.cache import (
     config_fingerprint,
     env_fingerprint,
     procedure_fingerprint,
     value_token,
 )
-from repro.sched.pool import serial_engine_run
-from repro.sched.scheduler import AnalysisTask, Scheduler
+from repro.sched.scheduler import AnalysisTask, Scheduler, serial_engine_run
 from repro.summary.alias import AliasInfo
 from repro.summary.modref import ModRefInfo
 
@@ -157,12 +156,10 @@ def compute_returns(
     modified formal and global at procedure exit — for procedures off PCG
     cycles (the paper's full "returned constant parameters and globals").
 
-    With an engaged ``scheduler`` the reverse traversal runs as a wavefront
-    over the reverse dependency levels: each procedure's effects see a
-    per-task snapshot of exactly the callee summaries the serial traversal
-    would have seen, so the scheduled solution is identical.  (The
-    flow-insensitive return fixpoint stays serial — its table mutates
-    between rounds and each round is cheap.)
+    Every engine run of the traversal goes through ``scheduler``, which
+    serves it from its summary cache when it has one.  (The
+    flow-insensitive return fixpoint runs the engine directly — its table
+    mutates between rounds and each round is cheap.)
 
     ``runs``, when given, receives each procedure's engine run of the
     reverse traversal; the transformation reuses some of them.  The
@@ -170,30 +167,28 @@ def compute_returns(
     """
     config = config or ICPConfig()
     engine = engine or make_engine(config.engine)
+    scheduler = scheduler or Scheduler()
     proc_map = program.procedure_map()
     result = ReturnsResult()
 
-    obs = scheduler.obs if scheduler is not None else NULL_OBS
     needs_fi = bool(pcg.fallback_edges)
     if needs_fi and fi is None:
         raise ValueError("a flow-insensitive solution is required for cyclic PCGs")
     if needs_fi:
         result.fi_returns = _fi_return_fixpoint(
-            program, symbols, pcg, modref, fi, aliases, config, engine, obs
+            program, symbols, pcg, modref, fi, aliases, config, engine,
+            scheduler.obs,
         )
     cyclic = _cyclic_procs(pcg) if with_exit_values else set()
-
-    if scheduler is not None and scheduler.engaged:
-        _scheduled_reverse(
-            program, symbols, pcg, modref, fs, aliases, config,
-            result, runs, cyclic, with_exit_values, scheduler,
-        )
-        return result
 
     # Reverse topological traversal: callees first.  The effects see the
     # tables as they fill, so a procedure's exit values benefit from its
     # (already processed) callees' exit values.
     pass_label = "returns-exit" if with_exit_values else "returns"
+    config_fp = config_fingerprint(
+        config.engine, config.propagate_floats, program.global_names,
+        pass_label,
+    )
     table: Dict[str, LatticeValue] = {}
     if with_exit_values:
         effects: _ReturnProviderEffects = ExitValueEffects(
@@ -215,9 +210,37 @@ def compute_returns(
             record_exit_vars = {
                 var for var in modref.mod_of(proc_name) if var in visible
             }
-        intra, _ = serial_engine_run(
-            obs, engine, pass_label, proc_map[proc_name], symbols[proc_name],
-            entry_env, effects, record_exit_vars=record_exit_vars,
+        fingerprints: tuple = ()
+        if scheduler.cache is not None:
+            # The tables hold exactly the callee summaries this
+            # procedure's run will read, so they key its cache entry.
+            site_extra = {
+                site.index: _site_summary(
+                    site, table, result.exit_values, symbols, with_exit_values
+                )
+                for site in symbols[proc_name].call_sites
+            }
+            fingerprints = (
+                procedure_fingerprint(proc_map[proc_name]),
+                env_fingerprint(entry_env),
+                fs_effects_fingerprint(
+                    proc_name, symbols[proc_name], effects, aliases,
+                    site_extra=site_extra,
+                ),
+                config_fp,
+                f"exit_vars={sorted(record_exit_vars) if record_exit_vars else None}",
+            )
+        intra = scheduler.run(
+            engine,
+            AnalysisTask(
+                proc=proc_map[proc_name],
+                symbols=symbols[proc_name],
+                entry_env=entry_env,
+                effects=effects,
+                pass_label=pass_label,
+                record_exit_vars=record_exit_vars,
+                fingerprints=fingerprints,
+            ),
         )
         if runs is not None:
             runs[proc_name] = intra
@@ -231,141 +254,17 @@ def compute_returns(
     return result
 
 
-def _scheduled_reverse(
-    program: ast.Program,
-    symbols: Dict[str, ProcedureSymbols],
-    pcg: PCG,
-    modref: ModRefInfo,
-    fs: FSResult,
-    aliases: Optional[AliasInfo],
-    config: ICPConfig,
-    result: ReturnsResult,
-    runs: Optional[Dict[str, IntraResult]],
-    cyclic,
-    with_exit_values: bool,
-    scheduler: Scheduler,
-) -> None:
-    """Wavefront execution of the reverse traversal.
-
-    Dependencies run along call edges whose callee is *later* in RPO (those
-    are processed earlier by the reverse traversal); calls at the same or a
-    smaller RPO index are reverse-fallback edges served by the FI return
-    solution.  Each task receives a frozen snapshot of its callees' return
-    (and exit) summaries, reproducing exactly what the serial traversal's
-    shared table would contain at that procedure's turn.
-    """
-    proc_map = program.procedure_map()
-    wavefront = scheduler.wavefront(pcg)
-    pass_label = "returns-exit" if with_exit_values else "returns"
-    config_fp = config_fingerprint(
-        config.engine, config.propagate_floats, program.global_names,
-        pass_label,
-    )
-    globals_set = frozenset(program.global_names)
-    fs_table: Dict[str, LatticeValue] = {}
-
-    for level in wavefront.reverse_levels:
-        tasks: List[AnalysisTask] = []
-        for proc_name in level:
-            position = pcg.rpo_position(proc_name)
-            snapshot: Dict[str, LatticeValue] = {}
-            exit_snapshot: Dict[str, Dict[str, LatticeValue]] = {}
-            for edge in pcg.edges_out_of(proc_name):
-                callee = edge.callee
-                if pcg.rpo_position(callee) > position:
-                    snapshot[callee] = fs_table[callee]
-                    if with_exit_values and callee in result.exit_values:
-                        exit_snapshot[callee] = result.exit_values[callee]
-                else:
-                    snapshot.setdefault(
-                        callee, result.fi_returns.get(callee, BOTTOM)
-                    )
-            if with_exit_values:
-                effects: _ReturnProviderEffects = ExitValueEffects(
-                    modref, aliases, snapshot, exit_snapshot, symbols,
-                    globals_set, config,
-                )
-            else:
-                effects = _ReturnProviderEffects(modref, aliases, snapshot, config)
-
-            record_exit_vars = None
-            if with_exit_values and proc_name not in cyclic:
-                visible = set(symbols[proc_name].formals) | globals_set
-                record_exit_vars = frozenset(
-                    var for var in modref.mod_of(proc_name) if var in visible
-                )
-
-            entry_env = fs.entry_env(proc_name, symbols[proc_name])
-            fingerprints: tuple = ()
-            if scheduler.cache is not None:
-                site_extra = {
-                    site.index: _site_summary(
-                        site, snapshot, exit_snapshot, symbols, with_exit_values
-                    )
-                    for site in symbols[proc_name].call_sites
-                }
-                fingerprints = (
-                    procedure_fingerprint(proc_map[proc_name]),
-                    env_fingerprint(entry_env),
-                    fs_effects_fingerprint(
-                        proc_name, symbols[proc_name], effects, aliases,
-                        site_extra=site_extra,
-                    ),
-                    config_fp,
-                    f"exit_vars={sorted(record_exit_vars) if record_exit_vars else None}",
-                )
-            tasks.append(
-                AnalysisTask(
-                    proc_name=proc_name,
-                    proc=proc_map[proc_name],
-                    symbols=symbols[proc_name],
-                    entry_env=entry_env,
-                    effects=effects,
-                    engine=config.engine,
-                    pass_label=pass_label,
-                    record_exit_vars=record_exit_vars,
-                    fingerprints=fingerprints,
-                )
-            )
-
-        outcomes = scheduler.run_level(tasks)
-        for task in tasks:
-            intra = outcomes[task.proc_name]
-            if runs is not None:
-                runs[task.proc_name] = intra
-            value = config.admit(intra.return_value)
-            fs_table[task.proc_name] = value
-            result.fs_returns[task.proc_name] = value
-            if task.record_exit_vars is not None and intra.exit_values is not None:
-                result.exit_values[task.proc_name] = {
-                    var: config.admit(v) for var, v in intra.exit_values.items()
-                }
-
-    # Restore the serial traversal's (reversed RPO) table orders so reports
-    # render identically under any worker count.
-    result.fs_returns = {
-        proc: result.fs_returns[proc]
-        for proc in reversed(pcg.rpo)
-        if proc in result.fs_returns
-    }
-    result.exit_values = {
-        proc: result.exit_values[proc]
-        for proc in reversed(pcg.rpo)
-        if proc in result.exit_values
-    }
-
-
 def _site_summary(
     site: CallSite,
-    snapshot: Dict[str, LatticeValue],
-    exit_snapshot: Dict[str, Dict[str, LatticeValue]],
+    returns: Dict[str, LatticeValue],
+    exits: Dict[str, Dict[str, LatticeValue]],
     symbols: Dict[str, ProcedureSymbols],
     with_exit_values: bool,
 ) -> str:
     """Fingerprint token for the callee summaries one call site consults."""
-    parts = [f"ret={value_token(snapshot.get(site.callee, BOTTOM))}"]
+    parts = [f"ret={value_token(returns.get(site.callee, BOTTOM))}"]
     if with_exit_values:
-        table = exit_snapshot.get(site.callee)
+        table = exits.get(site.callee)
         if table:
             rendered = ",".join(
                 f"{var}={value_token(val)}" for var, val in sorted(table.items())

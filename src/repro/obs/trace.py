@@ -1,21 +1,18 @@
 """Span-based structured tracing for the analysis pipeline.
 
 A :class:`Tracer` records nested *spans* (parse → SSA → summaries →
-wavefront level → per-procedure engine run → transform) carrying structured
-attributes — procedure name, level index, cache hit/miss, lattice-cell
-counts.  Spans are buffered per thread: every worker thread of a thread
-pool appends to its own buffer (no locking on the hot path), and the
+per-procedure engine run → transform) carrying structured attributes —
+procedure name, pass, cache hit/miss, lattice-cell counts.  Spans are
+buffered per thread: every thread (the serve daemon's request threads
+included) appends to its own buffer (no locking on the hot path), and the
 coordinator merges all buffers at export time, one Chrome ``tid`` track per
-buffer.  Process-pool workers live in a different clock domain, so their
-engine runs are synthesized on the coordinator as *complete* events from
-the worker-measured durations.
+buffer.
 
 Two export formats:
 
 - :meth:`Tracer.to_chrome` — the Chrome ``trace_event`` JSON format
   (load the file in ``chrome://tracing`` or Perfetto).  Spans become
-  balanced ``B``/``E`` event pairs; synthesized worker spans and marker
-  events use ``X``/``i`` phases.
+  balanced ``B``/``E`` event pairs; marker events use the ``i`` phase.
 - :meth:`Tracer.format_tree` — a human-readable indented tree with
   durations, for terminals.
 
@@ -200,46 +197,6 @@ class Tracer:
             }
         )
 
-    def complete(
-        self,
-        name: str,
-        start_ts: float,
-        duration_seconds: float,
-        tid: str,
-        cat: str = "engine",
-        **attrs,
-    ) -> None:
-        """Record a *complete* (``X``) event on a virtual track.
-
-        Used for work measured in another clock domain (process-pool
-        workers): the coordinator rebases the worker-reported duration onto
-        its own timeline at ``start_ts`` (microseconds, tracer epoch).
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            buffer = self._named_buffer_locked(tid)
-        buffer.append(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "X",
-                "ts": start_ts,
-                "dur": duration_seconds * 1_000_000.0,
-                "pid": TRACE_PID,
-                "args": attrs,
-            }
-        )
-
-    def _named_buffer_locked(self, label: str) -> List[dict]:
-        for existing, buffer in self._buffers:
-            if existing == label:
-                return buffer
-        buffer: List[dict] = []
-        self._buffers.append((label, buffer))
-        self._labels_seen.setdefault(label, 1)
-        return buffer
-
     # ------------------------------------------------------------------
     # Export.
     # ------------------------------------------------------------------
@@ -286,10 +243,6 @@ class Tracer:
                     duration_ms = (event["ts"] - begin["ts"]) / 1000.0
                     lines.append(
                         _tree_line(begin, depth, f"{duration_ms:.3f}ms")
-                    )
-                elif event["ph"] == "X":
-                    lines.append(
-                        _tree_line(event, len(stack), f"{event['dur'] / 1000.0:.3f}ms")
                     )
                 elif event["ph"] == "i":
                     lines.append(_tree_line(event, len(stack), "·"))

@@ -1,25 +1,19 @@
-"""Parallel wavefront scheduling and summary caching for the ICP pipeline.
+"""Summary caching and run counting for the ICP pipeline's engine passes.
 
-The paper's central cost claim — one intraprocedural analysis per procedure —
-has a scheduling corollary: within one topological traversal of the PCG,
-procedures whose analyses have no pending inputs are *independent* and can be
-analyzed concurrently.  This package turns that observation into machinery:
+The paper's central cost claim is one intraprocedural analysis per
+procedure, made in one traversal of the PCG.  This package keeps that
+traversal cheap to repeat:
 
-- :mod:`repro.sched.wavefront` groups procedures into dependency levels for
-  the forward (flow-sensitive ICP) and reverse (USE / returns) traversals;
-- :mod:`repro.sched.pool` dispatches one level's analyses to a
-  ``concurrent.futures`` worker pool (threads by default, processes opt-in);
 - :mod:`repro.sched.cache` memoizes per-procedure intraprocedural results
   under a content-addressed key, so unchanged procedures are never
   re-analyzed across pipeline runs;
-- :mod:`repro.sched.scheduler` ties the three together behind the
-  :class:`Scheduler` facade the pipeline phases consume.
+- :mod:`repro.sched.scheduler` is the one entry point every engine pass
+  sends its analyses through: :meth:`Scheduler.run` consults the cache,
+  runs the engine on a miss, and counts what happened.
 """
 
 from repro.sched.cache import CacheStats, SummaryCache
-from repro.sched.pool import TaskPool, resolve_workers, spawn_context
 from repro.sched.scheduler import AnalysisTask, Scheduler, SchedulerStats
-from repro.sched.wavefront import WavefrontSchedule
 
 __all__ = [
     "AnalysisTask",
@@ -27,8 +21,4 @@ __all__ = [
     "Scheduler",
     "SchedulerStats",
     "SummaryCache",
-    "TaskPool",
-    "WavefrontSchedule",
-    "resolve_workers",
-    "spawn_context",
 ]

@@ -98,6 +98,18 @@ Payload = Union[Dict[str, Any], str]
 Body = Optional[Dict[str, Any]]
 
 
+@dataclass(frozen=True)
+class MalformedBody:
+    """A request body that did not parse as a JSON object.
+
+    The HTTP handler hands it to :meth:`JSONHTTPFront.handle_request` in
+    place of the body, so the 400 it earns is answered inside the request
+    envelope (request id, metrics, access log) like any other answer.
+    """
+
+    reason: str
+
+
 def split_api_version(path: str) -> Tuple[str, bool]:
     """Strip a leading ``/v1`` from ``path``; `(canonical, versioned)`.
 
@@ -234,16 +246,16 @@ class JSONHTTPFront:
         self,
         method: str,
         path: str,
-        body: Body = None,
+        body: Union[Body, MalformedBody] = None,
         headers: Optional[Any] = None,
     ) -> Tuple[int, Payload, Dict[str, str]]:
         """One request, end to end: identity, metrics, log, dispatch.
 
         Routes live under ``/v1``; dispatch sees the canonical path with
         the prefix stripped.  A path without the prefix gets a 404 naming
-        its ``/v1`` spelling, through the same envelope as any other
-        answer: the request id is echoed, and the request is logged and
-        counted.
+        its ``/v1`` spelling, and a :class:`MalformedBody` a 400, through
+        the same envelope as any other answer: the request id is echoed,
+        and the request is logged and counted.
         """
         canonical, versioned = split_api_version(path)
         endpoint = _endpoint_class(method, canonical) if versioned else "other"
@@ -265,7 +277,10 @@ class JSONHTTPFront:
             metrics.gauge("http.in_flight").add(1)
         status, payload, extra = 500, {"error": "internal"}, {}
         try:
-            if versioned:
+            if isinstance(body, MalformedBody):
+                message = f"malformed JSON body: {body.reason}"
+                handled = 400, {"error": message}, {}
+            elif versioned:
                 handled = self._handle_obs_endpoint(method, canonical)
             else:
                 message = f"unversioned path; use /{API_VERSION}{path}"
@@ -433,10 +448,7 @@ class JSONHTTPFront:
                 try:
                     body = self._body()
                 except (ValueError, UnicodeDecodeError) as error:
-                    self._finish(
-                        400, {"error": f"malformed JSON body: {error}"}, {}
-                    )
-                    return
+                    body = MalformedBody(str(error))
                 status, payload, headers = front.handle_request(
                     method, self.path, body, self.headers
                 )

@@ -9,8 +9,7 @@ process-per-shard deployment:
   and stable under respawns);
 - each **shard** is a full :class:`~repro.serve.daemon.AnalysisServer` in
   its own process (:mod:`repro.serve.worker`, spawned through the
-  spawn-safe :func:`repro.sched.pool.spawn_context`), serving on a private
-  loopback socket;
+  spawn-safe :func:`spawn_context`), serving on a private loopback socket;
 - shards coordinate *only* through the shared persistent store
   (:mod:`repro.store`), so any shard can warm-start any program — which is
   what makes shards disposable: a **supervisor** thread sweeps every
@@ -45,7 +44,6 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.core.config import ICPConfig
 from repro.obs import NULL_OBS, Observability, StructuredLog, merge_snapshots
-from repro.sched.pool import spawn_context
 from repro.serve import context as request_context
 from repro.serve.daemon import (
     API_VERSION,
@@ -56,6 +54,21 @@ from repro.serve.daemon import (
 )
 from repro.serve.hashring import HashRing
 from repro.serve.worker import run_worker, worker_config
+
+def spawn_context():
+    """The ``spawn`` multiprocessing context the shard supervisor uses.
+
+    The platform default start method may be fork (POSIX Python < 3.14),
+    which clones whatever locks and threads the parent holds — the router
+    and the observability layer both run threads, so a forked child can
+    inherit a locked lock and deadlock.  Spawn is safe everywhere; the
+    shard entrypoint (:func:`repro.serve.worker.run_worker`) is a
+    module-level picklable by construction.
+    """
+    import multiprocessing
+
+    return multiprocessing.get_context("spawn")
+
 
 #: Seconds the router waits for a freshly spawned shard to report its port
 #: (generous: a cold spawn re-imports the interpreter and the package).

@@ -2,7 +2,7 @@
 
 One worker process = one :class:`~repro.serve.daemon.AnalysisServer` bound
 to an ephemeral local socket.  The router spawns workers through the
-spawn-safe context from :func:`repro.sched.pool.spawn_context` (never
+spawn-safe context from :func:`repro.serve.router.spawn_context` (never
 fork: the router holds locks and runs threads), so this entrypoint must be
 — and is — a module-level picklable.
 
@@ -27,12 +27,7 @@ def worker_config(config: ICPConfig) -> Dict[str, Any]:
 
     Identical to the router's config except for the listening socket: a
     worker binds an ephemeral loopback port (reported back through the
-    spawn pipe) and never recursively shards.  The intra-analysis executor
-    is pinned to threads — shard workers are daemonic processes, which the
-    interpreter forbids from having children of their own (and a process
-    pool per shard would just oversubscribe the cores the shards already
-    divide).  The executor is a throughput knob, never a results knob, so
-    reports stay byte-identical.
+    spawn pipe) and never recursively shards.
 
     The observability knobs (``serve_metrics``, ``serve_trace``,
     ``trace_propagate``, ``serve_log_*``) ride along unchanged: each
@@ -44,7 +39,6 @@ def worker_config(config: ICPConfig) -> Dict[str, Any]:
         serve_host="127.0.0.1",
         serve_port=0,
         serve_shards=0,
-        executor="thread",
     )
     return data
 

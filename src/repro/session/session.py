@@ -16,10 +16,10 @@ analysis inputs actually changed:
    could differ; everything else copies its previous result verbatim (no
    fingerprinting, no engine).
 3. The pipeline's engine half (:func:`repro.core.driver.engine_phases`:
-   flow-sensitive ICP, USE, returns, transform) runs the wavefront
-   scheduler over the dirty region only, with the session's summary cache
-   behind it, so even dirty procedures whose inputs round-tripped (an edit
-   that was reverted) come back as cache hits.
+   flow-sensitive ICP, USE, returns, transform) runs the engine over the
+   dirty region only, with the session's summary cache behind it, so even
+   dirty procedures whose inputs round-tripped (an edit that was reverted)
+   come back as cache hits.
 
 The produced :class:`~repro.core.driver.PipelineResult` renders
 byte-identically (``repro.core.report.analysis_report``) to a cold

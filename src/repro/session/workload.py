@@ -42,7 +42,6 @@ def run_workload(
     seed: int = 0,
     names: Optional[List[str]] = None,
     scale: int = 1,
-    workers: int = 1,
     out=None,
 ) -> dict:
     """Run the edit workload; returns a summary dict (see keys below).
@@ -59,7 +58,7 @@ def run_workload(
     if unknown:
         raise SystemExit(f"unknown benchmarks: {unknown}; known: {sorted(SUITE)}")
 
-    config = ICPConfig(workers=workers, cache=True)
+    config = ICPConfig(cache=True)
     cold_config = ICPConfig()
     sessions = {
         name: AnalysisSession(build_benchmark_source(SUITE[name], scale), config)
@@ -147,8 +146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="suite benchmarks to drive (default: all)")
     parser.add_argument("--scale", type=int, default=1,
                         help="suite scale factor (default 1)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="session scheduler workers (default 1)")
     parser.add_argument("--metrics-json", metavar="OUT.json", dest="metrics_json",
                         help="write aggregate session metrics as JSON")
     args = parser.parse_args(argv)
@@ -158,7 +155,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         names=args.names,
         scale=args.scale,
-        workers=args.workers,
     )
 
     if args.metrics_json:

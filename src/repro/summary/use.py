@@ -11,24 +11,18 @@ with the same single-traversal scheme as the flow-sensitive ICP, mirrored:
 Processing order is leaves-first (reversed RPO); a call site whose callee has
 not been processed yet (a back/fallback edge in the reverse direction) uses
 the callee's REF summary — conservative, since USE ⊆ REF.
-
-With a parallel scheduler the traversal runs as a reverse wavefront: each
-procedure's task receives a frozen table of callee summaries (USE for
-processed callees, REF for reverse-fallback ones), so level members share no
-state and the result is identical to the serial traversal's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set
 
 from repro.analysis.liveness import upward_exposed
 from repro.callgraph.pcg import PCG
 from repro.ir.builder import build_cfg
 from repro.lang import ast
 from repro.lang.symbols import CallSite, ProcedureSymbols
-from repro.sched.scheduler import Scheduler
 from repro.summary.modref import ModRefInfo
 
 
@@ -68,59 +62,26 @@ def compute_use(
     symbols: Dict[str, ProcedureSymbols],
     pcg: PCG,
     modref: ModRefInfo,
-    scheduler: Optional[Scheduler] = None,
     reuse: Optional[UseReuse] = None,
 ) -> UseInfo:
-    """One reverse topological traversal computing USE with REF fallback."""
+    """One reverse topological traversal computing USE with REF fallback.
+
+    With ``reuse`` the traversal recomputes only the seeds and the callers
+    of procedures whose USE changed; every other procedure carries its
+    previous summary (and its share of the fallback-site set) over.  A
+    procedure is recomputed when it is a seed, was never summarized, or
+    some later-RPO callee's USE just changed.  The traversal fills
+    ``info.use`` in reversed RPO, so reused and recomputed runs render
+    identically.
+    """
     globals_set = frozenset(program.global_names)
     proc_map = program.procedure_map()
+    previous = reuse.previous if reuse is not None else UseInfo()
+    seeds = reuse.seeds if reuse is not None else frozenset()
     info = UseInfo()
-
-    if reuse is not None:
-        _incremental_use(
-            symbols, pcg, modref, info, globals_set, proc_map, reuse
-        )
-        return info
-
-    if scheduler is not None and scheduler.parallel:
-        _scheduled_use(symbols, pcg, modref, info, globals_set, proc_map, scheduler)
-        return info
-
-    for proc_name in reversed(pcg.rpo):
-        proc = proc_map[proc_name]
-        proc_symbols = symbols[proc_name]
-
-        def call_uses(site: CallSite) -> Set[str]:
-            return _bind_call_uses(site, symbols, modref, info, globals_set)
-
-        build = build_cfg(proc, proc_symbols)
-        exposed = upward_exposed(build.cfg, call_uses)
-        visible = exposed & (globals_set | proc_symbols.formal_set)
-        info.use[proc_name] = frozenset(visible)
-    return info
-
-
-def _incremental_use(
-    symbols: Dict[str, ProcedureSymbols],
-    pcg: PCG,
-    modref: ModRefInfo,
-    info: UseInfo,
-    globals_set: FrozenSet[str],
-    proc_map: Dict[str, ast.Procedure],
-    reuse: UseReuse,
-) -> None:
-    """Reversed-RPO sweep recomputing only seeds and changed-callee callers.
-
-    A procedure is recomputed when it is a seed, was never summarized, or
-    some later-RPO callee's USE just changed; otherwise its previous summary
-    (and its share of the fallback-site set) is carried over.  The sweep
-    fills ``info.use`` in reversed RPO — the serial table order — so reused
-    and recomputed runs render identically.
-    """
-    previous = reuse.previous
     for proc_name in reversed(pcg.rpo):
         position = pcg.rpo_position(proc_name)
-        dirty = proc_name in reuse.seeds or proc_name not in previous.use
+        dirty = proc_name in seeds or proc_name not in previous.use
         if not dirty:
             for site in symbols[proc_name].call_sites:
                 callee = site.callee
@@ -148,6 +109,7 @@ def _incremental_use(
         exposed = upward_exposed(build.cfg, call_uses)
         visible = exposed & (globals_set | proc_symbols.formal_set)
         info.use[proc_name] = frozenset(visible)
+    return info
 
 
 def bound_call_uses(
@@ -197,101 +159,3 @@ def _bind_call_uses(
         else:
             used.update(ast.expr_variables(arg))
     return used
-
-
-# ----------------------------------------------------------------------
-# Parallel reverse wavefront.
-# ----------------------------------------------------------------------
-
-#: Per-callee summary inside one task: None marks a missing procedure
-#: (maximally conservative); otherwise (formals, uses-or-ref, is_fallback).
-_CalleeEntry = Optional[Tuple[Tuple[str, ...], FrozenSet[str], bool]]
-
-
-@dataclass(frozen=True)
-class _UseTask:
-    proc: ast.Procedure
-    symbols: ProcedureSymbols
-    globals_set: FrozenSet[str]
-    callee_table: Dict[str, _CalleeEntry]
-
-
-def _run_use_task(task: _UseTask) -> Tuple[FrozenSet[str], FrozenSet[int]]:
-    """Compute one procedure's USE set from a frozen callee table.
-
-    Module-level so a process pool can pickle it.  Returns the visible USE
-    set plus the indices of call sites that consulted a REF fallback entry.
-    """
-    consulted_fallback: Set[int] = set()
-
-    def call_uses(site: CallSite) -> Set[str]:
-        entry = task.callee_table.get(site.callee)
-        if entry is None:
-            used = set(task.globals_set)
-            for arg in site.args:
-                used.update(ast.expr_variables(arg))
-            return used
-        formals, callee_uses, is_fallback = entry
-        if is_fallback:
-            consulted_fallback.add(site.index)
-        used = {g for g in callee_uses if g in task.globals_set}
-        for i, arg in enumerate(site.args):
-            if isinstance(arg, ast.Var):
-                if formals[i] in callee_uses:
-                    used.add(arg.name)
-            else:
-                used.update(ast.expr_variables(arg))
-        return used
-
-    build = build_cfg(task.proc, task.symbols)
-    exposed = upward_exposed(build.cfg, call_uses)
-    visible = exposed & (task.globals_set | task.symbols.formal_set)
-    return frozenset(visible), frozenset(consulted_fallback)
-
-
-def _scheduled_use(
-    symbols: Dict[str, ProcedureSymbols],
-    pcg: PCG,
-    modref: ModRefInfo,
-    info: UseInfo,
-    globals_set: FrozenSet[str],
-    proc_map: Dict[str, ast.Procedure],
-    scheduler: Scheduler,
-) -> None:
-    wavefront = scheduler.wavefront(pcg)
-    for level in wavefront.reverse_levels:
-        tasks: List[_UseTask] = []
-        for proc_name in level:
-            position = pcg.rpo_position(proc_name)
-            table: Dict[str, _CalleeEntry] = {}
-            for site in symbols[proc_name].call_sites:
-                callee = site.callee
-                if callee in table:
-                    continue
-                if callee not in symbols:
-                    table[callee] = None
-                elif pcg.rpo_position(callee) > position:
-                    table[callee] = (
-                        tuple(symbols[callee].formals), info.use[callee], False
-                    )
-                else:
-                    table[callee] = (
-                        tuple(symbols[callee].formals),
-                        modref.ref_of(callee),
-                        True,
-                    )
-            tasks.append(
-                _UseTask(proc_map[proc_name], symbols[proc_name], globals_set, table)
-            )
-        outcomes = scheduler.map(_run_use_task, tasks, label="use-reverse-level")
-        for proc_name, (visible, fallback_indices) in zip(level, outcomes):
-            info.use[proc_name] = visible
-            if fallback_indices:
-                by_index = {
-                    site.index: site for site in symbols[proc_name].call_sites
-                }
-                info.fallback_sites.update(
-                    by_index[index] for index in fallback_indices
-                )
-    # Serial table order (reversed RPO) for identical rendering everywhere.
-    info.use = {proc: info.use[proc] for proc in reversed(pcg.rpo)}

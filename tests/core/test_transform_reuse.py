@@ -7,11 +7,10 @@ does with no details, analyzing each procedure afresh on the same entry
 environments and effects: the same program text and the same
 substitution, fold and prune tables.
 
-A warm cache and a process pool return details lowered from another copy
-of a procedure (an earlier parse, an unpickled task), whose statement maps
-do not fit the procedure being rewritten; those cases fail if the
-transformation stops checking that a detail was lowered from the very
-procedure object it rewrites.
+A warm cache returns details lowered from another copy of a procedure (an
+earlier parse), whose statement maps do not fit the procedure being
+rewritten; that case fails if the transformation stops checking that a
+detail was lowered from the very procedure object it rewrites.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ PROGRAMS = (
 #: One pipeline per config, each program run once.
 CONFIGS = {
     "default": {},
-    "workers": {"workers": 2},
     "returns": {"propagate_returns": True},
     "exit_values": {"propagate_exit_values": True},
     "value_contexts": {"context_mode": "value-contexts"},
@@ -128,13 +126,6 @@ def test_warm_store_rerun_matches_fresh_run(tmp_path):
     assert _run_passes(
         [CompilationPipeline(config), CompilationPipeline(config)]
     ) == []
-
-
-@pytest.mark.slow
-def test_process_pool_matches_fresh_run():
-    # Worker processes return unpickled copies of each lowered procedure.
-    pipeline = CompilationPipeline(ICPConfig(workers=2, executor="process"))
-    assert _run_passes([pipeline]) == []
 
 
 def test_session_edits_match_fresh_run():

@@ -17,8 +17,7 @@ def analyze_with(source, obs, **config_kwargs):
     return analyze_program(source, config, obs=obs)
 
 
-#: A wide call graph: one wavefront level holds both f and g, so a
-#: multi-worker run genuinely dispatches to pool threads.
+#: ``main`` calls two leaves.
 WIDE = """\
 proc main() { call f(1); call g(2); }
 proc f(a) { print(a); }
@@ -55,38 +54,18 @@ class TestTracedPipeline:
         # Root span, phase spans, and per-procedure engine spans all present.
         assert {"pipeline", "icp_fs", "engine", "parse"} <= names
 
-    def test_threaded_run_nests_per_worker_track(self):
+    def test_cached_run_marks_each_lookup(self):
         obs = Observability.create(trace=True)
-        analyze_with(WIDE, obs, workers=2, cache=True)
+        analyze_with(WIDE, obs, cache=True)
         chrome = obs.tracer.to_chrome()
         assert validate_chrome_trace(chrome) == []
         events = chrome["traceEvents"]
-        worker_tids = {
-            e["tid"]
-            for e in events
-            if e["name"] == "engine"
-            and e["ph"] == "B"
-            and e["tid"] != "coordinator"
-        }
-        assert worker_tids  # the f/g level dispatched to pool threads
-        assert any(e["name"] == "wavefront-level" for e in events)
-        assert any(e["name"] == "cache-miss" for e in events)
-
-    def test_process_run_synthesizes_engine_events(self):
-        obs = Observability.create(trace=True)
-        analyze_with(WIDE, obs, workers=2, executor="process")
-        chrome = obs.tracer.to_chrome()
-        assert validate_chrome_trace(chrome) == []
-        synthesized = [
-            e
-            for e in chrome["traceEvents"]
-            if e["ph"] == "X" and e["name"] == "engine"
-        ]
-        assert synthesized
-        assert all(
-            e["args"]["clock"] == "synthesized" for e in synthesized
-        )
-        assert all(e["tid"].startswith("process-worker-") for e in synthesized)
+        misses = [e["args"]["proc"] for e in events if e["name"] == "cache-miss"]
+        assert sorted(misses) == ["f", "g", "main"]
+        # Every engine run happens on the calling thread.
+        assert {
+            e["tid"] for e in events if e["name"] == "engine"
+        } == {"coordinator"}
 
     def test_trace_attributes_carry_procedure_names(self):
         obs = Observability.create(trace=True)
@@ -102,16 +81,14 @@ class TestTracedPipeline:
 class TestMetricsPipeline:
     def test_live_counters_from_scheduled_run(self):
         obs = Observability.create(metrics=True)
-        analyze_with(figure1_program(), obs, workers=2, cache=True)
+        analyze_with(figure1_program(), obs, cache=True)
         snapshot = obs.metrics.snapshot()
         counters = snapshot["counters"]
-        assert counters["sched.tasks_run"] >= 3
-        assert counters["cache.misses"] >= 3
+        assert counters["sched.tasks_run"] == 3
+        assert counters["cache.misses"] == 3
         assert counters["scc.flow_edges"] > 0
         assert counters["scc.lattice_cells"] > 0
-        assert snapshot["histograms"]["engine.task_seconds"]["count"] >= 3
-        gauges = snapshot["gauges"]
-        assert gauges["sched.workers"] == 2
+        assert snapshot["histograms"]["engine.task_seconds"]["count"] == 3
 
     def test_serial_run_records_scc_counters(self):
         obs = Observability.create(metrics=True)
@@ -122,7 +99,7 @@ class TestMetricsPipeline:
 
     def test_absorb_covers_shape_and_phases(self):
         obs = Observability.create(metrics=True)
-        result = analyze_with(figure1_program(), obs, workers=2, cache=True)
+        result = analyze_with(figure1_program(), obs, cache=True)
         absorb_pipeline_metrics(obs.metrics, result)
         gauges = obs.metrics.snapshot()["gauges"]
         assert gauges["pcg.procedures"] == 3
@@ -157,13 +134,13 @@ class TestProfiledPipeline:
 
 
 class TestEngineRunRecording:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_returns_pass_records_engine_runs(self, workers):
+    @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+    def test_returns_pass_records_engine_runs(self, cache):
         # Figure 1's PCG is acyclic: one FS and one returns run per
-        # procedure, whether the traversals run serially or scheduled.
+        # procedure, whether or not a cold cache sits behind them.
         obs = Observability.create(trace=True, metrics=True, profile=True)
         analyze_with(
-            figure1_program(), obs, workers=workers, propagate_returns=True
+            figure1_program(), obs, cache=cache, propagate_returns=True
         )
         runs = {p.name: p.runs for p in obs.profiler.hot_procedures(top=0)}
         assert runs == {"main": 2, "sub1": 2, "sub2": 2}
@@ -213,8 +190,8 @@ class TestEngineRunRecording:
         histograms = obs.metrics.snapshot()["histograms"]
         assert histograms["engine.task_seconds"]["count"] == 4
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_fi_return_fixpoint_records_engine_runs(self, workers, monkeypatch):
+    @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+    def test_fi_return_fixpoint_records_engine_runs(self, cache, monkeypatch):
         # f calls itself, so the returns pass first solves the
         # flow-insensitive return fixpoint; its runs must be observed too.
         from repro.analysis.scc import SCCEngine
@@ -228,9 +205,7 @@ class TestEngineRunRecording:
 
         monkeypatch.setattr(SCCEngine, "analyze", counting)
         obs = Observability.create(trace=True, metrics=True, profile=True)
-        analyze_with(
-            RECURSIVE, obs, workers=workers, propagate_returns=True
-        )
+        analyze_with(RECURSIVE, obs, cache=cache, propagate_returns=True)
         runs = {p.name: p.runs for p in obs.profiler.hot_procedures(top=0)}
         assert sum(runs.values()) == len(calls)
         histograms = obs.metrics.snapshot()["histograms"]
@@ -259,5 +234,5 @@ class TestResultEquivalence:
 
     def test_snapshot_serializes_after_full_run(self):
         obs = Observability.create(metrics=True, profile=True)
-        analyze_with(figure1_program(), obs, workers=2, cache=True)
+        analyze_with(figure1_program(), obs, cache=True)
         json.dumps(obs.metrics.snapshot())

@@ -47,14 +47,6 @@ class TestSpans:
         assert event["ph"] == "i"
         assert event["args"]["proc"] == "f"
 
-    def test_complete_event_on_named_track(self):
-        tracer = Tracer()
-        tracer.complete("engine", 10.0, 0.002, tid="process-worker-0", proc="f")
-        (event,) = tracer.events()
-        assert event["ph"] == "X"
-        assert event["tid"] == "process-worker-0"
-        assert event["dur"] == 2000.0  # 0.002s in microseconds
-
     def test_worker_threads_get_their_own_tracks(self):
         tracer = Tracer()
 
@@ -98,7 +90,6 @@ class TestDisabledTracer:
         with first as span:
             span.set(anything=1)
         NULL_TRACER.instant("x")
-        NULL_TRACER.complete("y", 0.0, 1.0, tid="t")
         assert NULL_TRACER.events() == []
 
 

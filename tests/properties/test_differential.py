@@ -1,7 +1,7 @@
-"""Differential soundness fuzzing of the scheduled pipeline.
+"""Differential soundness fuzzing of the cached pipeline.
 
 Two oracles over ~200 seeded generator programs, all analyzed through one
-shared parallel + caching pipeline (the tentpole configuration):
+shared caching pipeline:
 
 - **Runtime oracle**: the reference interpreter records every value observed
   at procedure entries and call sites; every constant the analysis claims
@@ -21,8 +21,8 @@ from repro.errors import InterpreterError, StepLimitExceeded
 from repro.interp import run_program
 from tests.helpers import run_recorded, soundness_violations
 
-#: Shared scheduled pipeline: parallel wavefronts plus a persistent cache.
-SCHED_CONFIG = dict(workers=2, cache=True)
+#: Shared pipeline with a summary cache that persists across seeds.
+SCHED_CONFIG = dict(cache=True)
 
 ACYCLIC_SEEDS = range(140)
 RECURSIVE_SEEDS = range(60)

@@ -3,8 +3,8 @@
 Each digest is the sha256 of ``analysis_report(result)`` followed by the
 rendered default diagnostics of the same result.  The matrix crosses the
 generator corpus (plain and recursion-heavy shapes) and the bench
-SUITE/RECURSION_SUITE profiles with serial and ``workers=2`` dispatch, the
-summary cache, both ``context_mode`` settings and the returns extension.
+SUITE/RECURSION_SUITE profiles with and without the summary cache, both
+``context_mode`` settings and the returns extension.
 Every cell runs one warm pipeline over its programs in order, so later
 programs also exercise whatever state the pipeline keeps between runs.
 The report holds no transform output, so the bench-profile cells marked
@@ -56,17 +56,13 @@ CORPUS_CELLS = {
     "serial": ({}, [("seed", None, range(40))]),
     "serial_recursive": ({}, [("recursive seed", RECURSION_HEAVY, range(25))]),
     "jobs_with_cache": (
-        {"workers": 2, "cache": True},
+        {"cache": True},
         [("seed", None, range(25)),
          ("recursive seed", RECURSION_HEAVY, range(15))],
     ),
     "value_contexts_serial": (
         {"context_mode": "value-contexts"},
         [("recursive seed", RECURSION_HEAVY, range(25))],
-    ),
-    "value_contexts_jobs": (
-        {"context_mode": "value-contexts", "workers": 2},
-        [("recursive seed", RECURSION_HEAVY, range(15))],
     ),
     "returns_extension": (
         {"propagate_returns": True, "propagate_exit_values": True},
@@ -87,7 +83,7 @@ SUITE_CELLS = {
     ),
     "standard_suite_transform": (SUITE, {}, True),
     "standard_suite_transform_jobs_with_cache": (
-        SUITE, {"workers": 2, "cache": True}, True,
+        SUITE, {"cache": True}, True,
     ),
     "recursion_suite_transform_exit_values": (
         RECURSION_SUITE, {"propagate_exit_values": True}, True,
@@ -197,9 +193,6 @@ class TestFuzzerCorpusDigests:
 
     def test_value_contexts_serial(self, corpus):
         _assert_corpus_cell(corpus, "value_contexts_serial")
-
-    def test_value_contexts_jobs(self, corpus):
-        _assert_corpus_cell(corpus, "value_contexts_jobs")
 
     def test_returns_extension(self, corpus):
         _assert_corpus_cell(corpus, "returns_extension")

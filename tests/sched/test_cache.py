@@ -6,8 +6,11 @@ edit: exactly the edited procedure when its interface (MOD/REF, entry
 values) is unchanged, and the dependent cone when it is not.
 """
 
-from repro.core.config import ICPConfig
+import pytest
+
 from repro.api import CompilationPipeline
+from repro.bench.programs import FIGURE1_SOURCE
+from repro.core.config import ICPConfig
 from repro.ir.lattice import Const
 from repro.sched.cache import (
     SummaryCache,
@@ -55,7 +58,7 @@ class TestWarmRuns:
         assert warm.summary() == cold.summary()
 
     def test_warm_run_parallel(self):
-        pipe = pipeline(workers=3)
+        pipe = pipeline()
         source = CHAIN % "1"
         pipe.run(source)
         warm = pipe.run(source)
@@ -118,13 +121,32 @@ class TestDisabledCache:
         assert plain.cache is None
         first = plain.run(source)
         second = plain.run(source)
-        # Nothing is memoized or scheduled: the serial seed path runs as-is.
-        assert first.sched.tasks_run == 0 and first.sched.cache is None
-        assert second.sched.tasks_run == 0
+        # Nothing is memoized: every run analyzes every procedure again.
+        assert first.sched.tasks_run == 3 and first.sched.cache is None
+        assert second.sched.tasks_run == 3 and second.sched.tasks_cached == 0
         cached = pipeline().run(source)
         assert cached.summary() == first.summary()
         assert cached.fs.constant_formals() == first.fs.constant_formals()
         assert cached.fs.fallback_edges == first.fs.fallback_edges
+
+
+class TestRunCounters:
+    """``PipelineResult.sched`` counts engine runs with or without a cache."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"propagate_returns": True}, {"context_mode": "value-contexts"}],
+        ids=["default", "returns", "value_contexts"],
+    )
+    def test_uncached_runs_are_counted(self, overrides):
+        source = FIGURE1_SOURCE
+        uncached = CompilationPipeline(ICPConfig(**overrides)).run(source)
+        cold = pipeline(**overrides).run(source)
+        assert uncached.sched.tasks_run > 0
+        assert uncached.sched.tasks_run == (
+            cold.sched.tasks_run + cold.sched.tasks_cached
+        )
+        assert uncached.sched.analysis_seconds > 0.0
 
 
 class TestCachePrimitives:

@@ -282,3 +282,14 @@ class TestCreateServer:
             assert isinstance(server, AnalysisServer)
         finally:
             server.close()
+
+
+class TestProcessShardSpawning:
+    def test_spawn_context_uses_spawn_start_method(self):
+        from repro.serve.router import spawn_context
+
+        # A fork-started shard clones the router's held locks and dies in
+        # deadlock when the router runs threads (supervisor, tracing); the
+        # supervisor must pin the spawn method rather than trust the
+        # platform default.
+        assert spawn_context().get_start_method() == "spawn"

@@ -477,6 +477,41 @@ class TestHTTP:
             srv.close()
 
     @pytest.mark.parametrize("front", ["daemon", "router"])
+    def test_malformed_body_is_answered_inside_the_envelope(self, front):
+        # The 400 echoes the request id, and the request is counted and
+        # logged like any other.
+        config = ICPConfig.from_dict(
+            {"serve_port": 0, "serve_log_enabled": False}
+        )
+        if front == "daemon":
+            srv = AnalysisServer(config)
+        else:
+            srv = ShardRouter.local(config, shards=1)
+        host, port = srv.start()
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request(
+                "POST",
+                "/v1/programs/p1",
+                body=b"{not json",
+                headers={
+                    "Content-Type": "application/json",
+                    "X-Repro-Request-Id": "probe-1",
+                },
+            )
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 400
+            assert payload["error"].startswith("malformed JSON body:")
+            assert response.getheader("X-Repro-Request-Id") == "probe-1"
+            counters = srv.obs.metrics.snapshot()["counters"]
+            assert counters["http.requests"] == 1
+            assert counters["http.status.400"] == 1
+        finally:
+            conn.close()
+            srv.close()
+
+    @pytest.mark.parametrize("front", ["daemon", "router"])
     def test_keep_alive_responses_do_not_wait_for_a_delayed_ack(self, front):
         # The headers and the body leave in two writes: with Nagle's
         # algorithm on, the body would wait about 40 ms for the client's

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from repro.core.config import FIELDS, HINTS, ICPConfig
+from repro.errors import ConfigError
 
 
 class TestFacadeSurface:
@@ -46,8 +47,7 @@ class TestFacadeSurface:
 
 class TestConfigRoundTrip:
     def test_round_trip(self):
-        config = ICPConfig(workers=3, cache=True, engine="simple",
-                           propagate_floats=False)
+        config = ICPConfig(cache=True, engine="simple", propagate_floats=False)
         assert ICPConfig.from_dict(config.to_dict()) == config
 
     def test_default_round_trip(self):
@@ -61,13 +61,17 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="engine"):
             ICPConfig.from_dict({"engine": "magic"})
 
-    def test_bad_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            ICPConfig.from_dict({"executor": "fork"})
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            ICPConfig.from_dict({"workers": -1})
+    @pytest.mark.parametrize(
+        "data", [{"workers": 2}, {"executor": "thread"}],
+        ids=["workers", "executor"],
+    )
+    def test_removed_pool_keys_rejected(self, data):
+        # The worker pool and its two keys are gone: unknown keys now.
+        with pytest.raises(ConfigError) as error:
+            ICPConfig.from_dict(data)
+        message = str(error.value)
+        assert message.startswith(f"unknown ICPConfig keys: {sorted(data)}; ")
+        assert "\n" not in message
 
     def test_empty_entry_rejected(self):
         with pytest.raises(ValueError, match="entry"):
@@ -95,7 +99,7 @@ class TestConfigRoundTrip:
     def test_suite_accepts_mapping(self):
         from repro.bench.suite import analyze_suite
 
-        run = analyze_suite(["048.ora"], {"workers": 1, "cache": True})
+        run = analyze_suite(["048.ora"], {"cache": True})
         assert "048.ora" in run.results
         assert run.cache_stats is not None
 

@@ -49,10 +49,14 @@ def drive_edits(session, rng, edits=EDITS_PER_PROGRAM, strict_reuse=True):
         if not changed:
             continue
         result = session.analyze()
-        cold_config = replace(session.config, cache=False, workers=1)
-        assert analysis_report(result) == analysis_report(
-            analyze(session.program, cold_config)
-        ), f"session diverged from cold analysis after editing {target.name!r}"
+        cold_config = replace(session.config, cache=False)
+        cold = analyze(session.program, cold_config)
+        assert analysis_report(result) == analysis_report(cold), (
+            f"session diverged from cold analysis after editing {target.name!r}"
+        )
+        # The report shows only the fallback ratio; ICP006 reads the edges.
+        assert result.fs.fallback_edges == cold.fs.fallback_edges
+        assert result.fs.fs_reachable == cold.fs.fs_reachable
         if strict_reuse:
             sched = result.sched
             region = session.last_region

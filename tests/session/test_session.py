@@ -36,8 +36,8 @@ class TestColdAnalysis:
         assert session.config.cache is True
 
     def test_mapping_config_accepted(self):
-        session = AnalysisSession(SOURCE, {"workers": 2})
-        assert session.config.workers == 2
+        session = AnalysisSession(SOURCE, {"engine": "simple"})
+        assert session.config.engine == "simple"
         assert session.config.cache is True
 
     def test_unknown_config_key_rejected(self):
@@ -238,7 +238,7 @@ class TestStatsAndReports:
         assert len(opened) == 1
 
     def test_parallel_session_matches_cold(self):
-        session = AnalysisSession(SOURCE, {"workers": 2})
+        session = AnalysisSession(SOURCE)
         session.analyze()
         session.update("a", "proc a(x) { w = 5; call c(w); print(x); }")
         result = session.analyze()

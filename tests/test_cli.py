@@ -139,13 +139,41 @@ class TestTables:
         assert "Table 5" in out
         assert "Table 1" not in out
 
+    def test_no_numbers_prints_every_table(self, capsys):
+        assert main(["tables"]) == 0
+        out = capsys.readouterr().out
+        for number in range(1, 6):
+            assert f"Table {number}" in out
+
+    def test_out_of_range_number_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tables", "6"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro-icp tables: error: argument N: invalid choice: 6 "
+            "(choose from 1, 2, 3, 4, 5)"
+        )
+
 
 class TestScheduling:
-    def test_jobs_flag_matches_serial(self, source_file, capsys):
+    def test_cache_stats_keeps_the_analysis_output(self, source_file, capsys):
         assert main(["analyze", source_file]) == 0
-        serial = capsys.readouterr().out
-        assert main(["analyze", source_file, "--jobs", "3"]) == 0
-        assert capsys.readouterr().out == serial
+        uncached = capsys.readouterr().out
+        assert main(["analyze", source_file, "--cache-stats"]) == 0
+        # The cache only appends its counters after the same summary.
+        assert capsys.readouterr().out.startswith(uncached)
+
+    @pytest.mark.parametrize(
+        "command",
+        ["analyze", "check", "graph", "optimize", "bench", "watch", "serve"],
+    )
+    def test_jobs_flag_is_a_usage_error(self, command, source_file, capsys):
+        # The worker pool and its --jobs flag are gone.
+        argv = [command] + ([] if command in ("bench", "serve") else [source_file])
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_cache_stats_flag(self, source_file, capsys):
         assert main(["analyze", source_file, "--cache-stats"]) == 0
@@ -154,12 +182,12 @@ class TestScheduling:
         assert "misses" in out
 
     def test_report_includes_scheduling_section(self, source_file, capsys):
-        assert main(
-            ["analyze", source_file, "--report", "--jobs", "2", "--cache-stats"]
-        ) == 0
+        assert main(["analyze", source_file, "--report", "--cache-stats"]) == 0
         out = capsys.readouterr().out
         assert "scheduling:" in out
-        assert "wavefront levels" in out
+        assert "analyses: 3 run, 0 cached" in out
+        assert main(["analyze", source_file, "--report"]) == 0
+        assert "scheduling:" not in capsys.readouterr().out
 
 
 class TestDefaultSubcommand:
@@ -202,15 +230,14 @@ class TestObservability:
 
         out = tmp_path / "trace.json"
         assert main(
-            ["analyze", source_file, "--trace", str(out), "--jobs", "2",
-             "--cache-stats"]
+            ["analyze", source_file, "--trace", str(out), "--cache-stats"]
         ) == 0
         assert validate_trace_file(str(out)) == []
 
     def test_metrics_json_snapshot(self, source_file, tmp_path, capsys):
         out = tmp_path / "metrics.json"
         assert main(
-            ["analyze", source_file, "--metrics-json", str(out), "--jobs", "2",
+            ["analyze", source_file, "--metrics-json", str(out),
              "--cache-stats"]
         ) == 0
         data = json.loads(out.read_text())
@@ -250,7 +277,7 @@ class TestObservability:
 class TestBench:
     def test_batched_suite_run(self, capsys):
         assert main(
-            ["bench", "048.ora", "078.swm256", "--jobs", "2", "--cache-stats"]
+            ["bench", "048.ora", "078.swm256", "--cache-stats"]
         ) == 0
         out = capsys.readouterr().out
         assert "048.ora" in out and "078.swm256" in out
@@ -259,12 +286,12 @@ class TestBench:
     def test_json_artifact(self, tmp_path, capsys):
         out = tmp_path / "BENCH_icp.json"
         assert main(
-            ["bench", "048.ora", "--jobs", "2", "--cache-stats",
-             "--json", str(out)]
+            ["bench", "048.ora", "--cache-stats", "--json", str(out)]
         ) == 0
         data = json.loads(out.read_text())
         assert data["schema"] == "repro-icp/bench/v1"
-        assert data["workers"] == 2
+        assert data["cache"] is True
+        assert "workers" not in data and "executor" not in data
         assert data["totals"]["wall_seconds"] > 0.0
         program = data["programs"]["048.ora"]
         assert program["wall_seconds"] > 0.0
@@ -284,7 +311,7 @@ class TestBench:
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"
         assert main(
-            ["bench", "048.ora", "--jobs", "2", "--cache-stats",
+            ["bench", "048.ora", "--cache-stats",
              "--trace", str(trace), "--metrics-json", str(metrics)]
         ) == 0
         assert validate_trace_file(str(trace)) == []
@@ -338,8 +365,10 @@ class TestBench:
         assert data["contexts"]["schema"] == "repro-icp/bench-contexts/v1"
 
     def test_negative_jobs_rejected(self, source_file, capsys):
-        assert main(["analyze", source_file, "--jobs", "-1"]) == 1
-        assert "workers" in capsys.readouterr().err
+        # --jobs went with the worker pool: any value is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", source_file, "--jobs", "-1"])
+        assert exit_info.value.code == 2
 
 
 class TestWatch:
@@ -402,7 +431,7 @@ class TestWatch:
 
     def test_shared_flags_inherited(self, source_file, capsys):
         # watch accepts the shared analysis/observability parents.
-        assert main(["watch", source_file, "--jobs", "2", "--no-floats",
+        assert main(["watch", source_file, "--cache-stats", "--no-floats",
                      "--interval", "0.01", "--max-iterations", "1"]) == 0
 
     def test_same_stamp_edit_detected_by_content_hash(
@@ -649,7 +678,7 @@ proc twice(a, b) { a = a + b; print(a); }
 
     def test_shared_parent_flags_accepted(self, noisy_file, capsys):
         assert main(
-            ["check", noisy_file, "--jobs", "2", "--no-floats"]
+            ["check", noisy_file, "--cache-stats", "--no-floats"]
         ) == 0
 
     def test_metrics_artifact(self, noisy_file, tmp_path, capsys):
