@@ -155,7 +155,9 @@ def analysis_report(result: PipelineResult) -> str:
         if exits:
             parts.append("constant exit values:")
             for proc, table in sorted(exits.items()):
-                rendered = {var: _fmt(v) for var, v in table.items()}
+                # The table comes from a set of variables: sort, so the line
+                # depends on neither PYTHONHASHSEED nor a warm store.
+                rendered = {var: _fmt(v) for var, v in sorted(table.items())}
                 parts.append(f"  {proc}: {rendered}")
     return "\n".join(parts)
 

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.api import ICPConfig, analyze
+from repro.bench.suite import SUITE, build_benchmark_source
 from repro.core.driver import CompilationPipeline
 from repro.core.report import analysis_report
 from repro.ir.lattice import LatticeValue
@@ -70,14 +71,20 @@ class TestWarmRerun:
         assert cache is not None
         assert not isinstance(cache, PersistentCache)
 
-    def test_warm_rerun_after_restart_is_byte_identical(self, tmp_path):
-        """The bench --warm contract at API level: two independent
-        pipelines over one store render identical reports."""
-        store = tmp_path / "store"
-        pipeline_cold = CompilationPipeline(_config(store))
-        pipeline_warm = CompilationPipeline(_config(store))
-        cold = pipeline_cold.run(SOURCE)
-        warm = pipeline_warm.run(SOURCE)
+    @pytest.mark.parametrize(
+        "extra", [{}, {"propagate_exit_values": True}],
+        ids=["default", "exit_values"],
+    )
+    @pytest.mark.parametrize("name", list(SUITE))
+    def test_warm_rerun_after_restart_is_byte_identical(
+        self, tmp_path, name, extra
+    ):
+        """Two independent pipelines over one store render identical
+        reports for every suite profile, and the second runs no engine."""
+        source = build_benchmark_source(SUITE[name])
+        config = _config(tmp_path / "store", **extra)
+        cold = CompilationPipeline(config).run(source)
+        warm = CompilationPipeline(config).run(source)
         assert analysis_report(cold) == analysis_report(warm)
         assert warm.sched.tasks_run == 0
 
