@@ -17,7 +17,9 @@ hash algorithm (``sys.hash_info.algorithm``: siphash24 before Python 3.11,
 siphash13 from 3.11).  The generator-corpus cells are therefore computed
 in one subprocess with ``PYTHONHASHSEED=0`` and compared against the table
 recorded for the running algorithm.  The bench profiles do not depend on
-string hashing and run in-process.
+string hashing and run in-process; the SUITE exit-values cell also runs
+under two hash seeds, because its report once printed each exit-value
+table in set order.
 
 A mismatch names its cell and programs.  An intended precision change is a
 reviewed fixture update, regenerated under each hash algorithm (for
@@ -88,6 +90,9 @@ SUITE_CELLS = {
     "recursion_suite_transform_exit_values": (
         RECURSION_SUITE, {"propagate_exit_values": True}, True,
     ),
+    "standard_suite_transform_exit_values": (
+        SUITE, {"propagate_exit_values": True}, True,
+    ),
     "recursion_suite_transform_value_contexts": (
         RECURSION_SUITE, {"context_mode": "value-contexts"}, True,
     ),
@@ -136,20 +141,25 @@ def suite_digests(cell):
     }
 
 
-def _corpus_in_subprocess():
-    """Run :func:`corpus_digests` under ``PYTHONHASHSEED=0``."""
+def _in_subprocess(hash_seed, *args):
+    """Run this file with ``args`` under ``PYTHONHASHSEED=hash_seed``."""
     import repro
 
     src = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, __file__, "--corpus"],
+        [sys.executable, __file__, *args],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
+
+
+def _corpus_in_subprocess():
+    """Run :func:`corpus_digests` under ``PYTHONHASHSEED=0``."""
+    return _in_subprocess(0, "--corpus")
 
 
 def _assert_matches(cell, actual, expected):
@@ -223,6 +233,19 @@ class TestBenchProfilesDigests:
     def test_recursion_suite_transform_value_contexts(self):
         _assert_suite_cell("recursion_suite_transform_value_contexts")
 
+    def test_standard_suite_transform_exit_values(self):
+        _assert_suite_cell("standard_suite_transform_exit_values")
+
+    def test_exit_values_cell_ignores_the_hash_seed(self):
+        cell = "standard_suite_transform_exit_values"
+        recorded = json.loads(FIXTURE.read_text())["suites"][cell]
+        for hash_seed in (1, 2):
+            _assert_matches(
+                f"{cell} under PYTHONHASHSEED={hash_seed}",
+                _in_subprocess(hash_seed, "--suite", cell),
+                recorded,
+            )
+
 
 def _write_fixture():
     """Record the suites and this interpreter's corpus table.
@@ -243,7 +266,9 @@ def _write_fixture():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--corpus"]:
         json.dump(corpus_digests(), sys.stdout)
+    elif sys.argv[1:2] == ["--suite"] and len(sys.argv) == 3:
+        json.dump(suite_digests(sys.argv[2]), sys.stdout)
     elif sys.argv[1:] == ["--write"]:
         _write_fixture()
     else:
-        sys.exit(f"usage: {sys.argv[0]} --write | --corpus")
+        sys.exit(f"usage: {sys.argv[0]} --write | --corpus | --suite CELL")
