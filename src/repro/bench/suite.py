@@ -73,18 +73,14 @@ them side by side.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.lang import ast
 from repro.lang.parser import parse_program
-from repro.obs import Observability
-from repro.sched.cache import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports bench users)
     from repro.core.config import ICPConfig
-    from repro.core.driver import PipelineResult
 
 
 @dataclass(frozen=True)
@@ -458,119 +454,6 @@ def build_benchmark_source(profile: BenchmarkProfile, scale: int = 1) -> str:
     return emitter.emit()
 
 
-# ----------------------------------------------------------------------
-# Batched suite analysis (one pipeline, one shared summary cache).
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class SuiteRun:
-    """Outcome of one batched :func:`analyze_suite` invocation."""
-
-    #: Per-benchmark pipeline results, in request order.
-    results: "Dict[str, PipelineResult]"
-    #: Cumulative summary-cache counters across the whole batch
-    #: (``None`` when the configuration did not enable the cache).
-    cache_stats: Optional[CacheStats] = None
-    #: End-to-end wall seconds per benchmark (build + full pipeline).
-    wall_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Per-benchmark diagnostic finding counts by rule ID (``None`` unless
-    #: the batch ran with ``diagnostics=True``).
-    findings: Optional[Dict[str, Dict[str, int]]] = None
-
-    def total_findings(self, name: str) -> int:
-        """Kept findings for one benchmark (0 when diagnostics were off)."""
-        if self.findings is None:
-            return 0
-        return sum(self.findings.get(name, {}).values())
-
-    @property
-    def tasks_run(self) -> int:
-        return sum(
-            r.sched.tasks_run for r in self.results.values() if r.sched is not None
-        )
-
-    @property
-    def tasks_cached(self) -> int:
-        return sum(
-            r.sched.tasks_cached
-            for r in self.results.values()
-            if r.sched is not None
-        )
-
-
-def analyze_suite(
-    names: Optional[Iterable[str]] = None,
-    config: "Optional[ICPConfig]" = None,
-    scale: int = 1,
-    obs: Optional[Observability] = None,
-    diagnostics: bool = False,
-) -> SuiteRun:
-    """Analyze suite benchmarks through one shared pipeline.
-
-    All requested benchmarks run through a single
-    :class:`~repro.core.driver.CompilationPipeline`: with ``config.cache``
-    set, the procedure-summary cache persists across the whole batch —
-    re-analyzing the suite on the same pipeline is then almost entirely
-    cache hits.
-
-    ``config`` may also be a plain mapping; it goes through the validated
-    :meth:`~repro.core.config.ICPConfig.from_dict` path.
-
-    With ``diagnostics=True``, the diagnostics engine runs over every
-    result (honoring the config's ``diag_*`` keys) and the returned
-    :attr:`SuiteRun.findings` maps each benchmark to its per-rule finding
-    counts — the suite's lint-health column.
-    """
-    from collections.abc import Mapping
-
-    from repro.core.config import ICPConfig
-    from repro.core.driver import CompilationPipeline
-
-    if isinstance(config, Mapping):
-        config = ICPConfig.from_dict(config)
-
-    # Dedupe while keeping order: results are keyed by name, so a repeated
-    # request would silently overwrite (and skew the batch totals).
-    requested = list(dict.fromkeys(names)) if names is not None else list(SUITE)
-    profiles = {**SUITE, **RECURSION_SUITE}
-    unknown = sorted(set(requested) - set(profiles))
-    if unknown:
-        raise KeyError(f"unknown benchmarks: {unknown}; known: {sorted(profiles)}")
-
-    pipeline = CompilationPipeline(config, obs=obs)
-    tracer = obs.tracer if obs is not None else None
-    results: "Dict[str, PipelineResult]" = {}
-    wall_seconds: Dict[str, float] = {}
-    findings: Optional[Dict[str, Dict[str, int]]] = {} if diagnostics else None
-    if diagnostics:
-        from repro.diag import DiagOptions, run_diagnostics
-
-        diag_options = DiagOptions.from_config(
-            config if config is not None else ICPConfig()
-        )
-    for name in requested:
-        started = time.perf_counter()
-        if tracer is not None and tracer.enabled:
-            with tracer.span("benchmark", cat="bench", benchmark=name, scale=scale):
-                results[name] = pipeline.run(build_benchmark(profiles[name], scale))
-        else:
-            results[name] = pipeline.run(build_benchmark(profiles[name], scale))
-        if findings is not None:
-            diag = run_diagnostics(results[name], diag_options, obs=obs)
-            findings[name] = diag.counts
-        wall_seconds[name] = time.perf_counter() - started
-    cache_stats = (
-        pipeline.cache.stats.snapshot() if pipeline.cache is not None else None
-    )
-    return SuiteRun(
-        results=results,
-        cache_stats=cache_stats,
-        wall_seconds=wall_seconds,
-        findings=findings,
-    )
-
-
 #: The twelve benchmarks of the paper's Tables 1 and 2, at roughly 1/8 scale.
 SUITE: Dict[str, BenchmarkProfile] = {}
 
@@ -769,7 +652,8 @@ PAPER_TABLE5: Dict[str, Tuple[int, int, int]] = {
 
 #: Recursion-heavy profiles measuring the ``context_mode`` tradeoff.  Not
 #: part of the paper tables (the paper's Fortran suite is recursion-free);
-#: :func:`analyze_suite` accepts their names alongside :data:`SUITE`.
+#: :func:`compare_context_modes` runs them, and ``repro-icp tables
+#: contexts`` prints the comparison.
 RECURSION_SUITE: Dict[str, BenchmarkProfile] = {}
 
 
@@ -825,23 +709,28 @@ def compare_context_modes(
     """Run profiles under both ``context_mode`` settings and compare.
 
     Returns ``{benchmark: {mode: row}}`` where each row reports the
-    precision/cost tradeoff of that mode: retained fallback edges (one
-    ICP006 note each), constant formals and entry globals found, wall
-    seconds, and — under value contexts — the tabulation statistics
-    (contexts, rounds, widenings, degraded requests, per-procedure table
-    sizes).  Defaults to the :data:`RECURSION_SUITE` profiles.
+    precision of that mode: retained fallback edges (one ICP006 note
+    each), constant formals and entry globals found, and — under value
+    contexts — the tabulation statistics (contexts, rounds, widenings,
+    degraded requests, per-procedure table sizes).  Each mode runs its
+    profiles through one pipeline.  Defaults to the
+    :data:`RECURSION_SUITE` profiles; :data:`SUITE` names are accepted
+    too.
     """
     from repro.core.config import ICPConfig
+    from repro.core.driver import CompilationPipeline
 
+    profiles = {**SUITE, **RECURSION_SUITE}
     requested = list(names) if names is not None else list(RECURSION_SUITE)
     base = (config or ICPConfig()).to_dict()
     comparison: Dict[str, Dict[str, Dict[str, object]]] = {}
     for mode in ("carini-hind", "value-contexts"):
-        mode_config = ICPConfig.from_dict({**base, "context_mode": mode})
-        run = analyze_suite(requested, mode_config, scale=scale)
-        for name, result in run.results.items():
+        pipeline = CompilationPipeline(
+            ICPConfig.from_dict({**base, "context_mode": mode})
+        )
+        for name in requested:
+            result = pipeline.run(build_benchmark(profiles[name], scale))
             row: Dict[str, object] = {
-                "wall_seconds": round(run.wall_seconds[name], 6),
                 "fallback_edges": len(result.fs.fallback_edges),
                 "constant_formals": len(result.fs.constant_formals()),
                 "constant_entry_globals": sum(

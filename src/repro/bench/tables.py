@@ -381,3 +381,23 @@ def format_table5(rows: List[Table5Entry]) -> str:
         f"paper: 817 532 961"
     )
     return "\n".join(lines)
+
+
+def format_contexts(comparison: Dict[str, Dict[str, Dict[str, object]]]) -> str:
+    """Render :func:`~repro.bench.suite.compare_context_modes` output."""
+    lines = [
+        "Value contexts: recursion profiles under both context modes",
+        f"{'profile':<12} {'mode':<15} {'fallback':>8} {'formals':>7} "
+        f"{'ctxs':>5} {'widen':>5} {'degraded':>8}",
+    ]
+    for name, modes in comparison.items():
+        for mode, row in modes.items():
+            stats = row.get("contexts") or {}
+            lines.append(
+                f"{name:<12} {mode:<15} {row['fallback_edges']:>8} "
+                f"{row['constant_formals']:>7} "
+                f"{stats.get('contexts', '-'):>5} "
+                f"{stats.get('widenings', '-'):>5} "
+                f"{len(stats.get('degraded_procs', [])) if stats else '-':>8}"
+            )
+    return "\n".join(lines)

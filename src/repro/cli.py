@@ -6,8 +6,7 @@ Subcommands::
     check FILE..   run the interprocedural lint checks (text/JSON/SARIF)
     optimize FILE  print the transformed (constant-substituted) program
     run FILE       execute the program with the reference interpreter
-    tables [N..]   regenerate the paper's tables over the synthetic suite
-    bench [NAME..] analyze the synthetic suite in one batched pipeline run
+    tables [N..]   regenerate the paper's tables (N: 1-5, or contexts)
     serve          run the analysis daemon (single-process or sharded)
     top            live dashboard over a fleet's /healthz + /metrics
     watch FILE     keep an analysis session alive, re-analyzing on change
@@ -18,7 +17,7 @@ A bare ``repro-icp FILE`` (no subcommand) is shorthand for
 Every flag that sets an :class:`ICPConfig` key (``--cache-stats``,
 ``--no-floats``, ``--store-dir``, ``--port``, ...) is generated from that
 key's field: its type, choices, help and default.  The analysis flags are
-shared by analyze/check/graph/optimize/bench/serve/watch through
+shared by analyze/check/graph/optimize/serve/watch through
 one argparse parent; ``--cache-stats`` also prints the summary cache's
 hit/miss/invalidation counters.  Observability flags: ``--trace
 OUT.json`` exports a Chrome ``trace_event`` file (open in
@@ -185,13 +184,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         return 0
 
-    fmt = args.format or ("sarif" if config.diag_sarif else "text")
-    renderer = {"text": render_text, "json": render_json, "sarif": render_sarif}[fmt]
-    rendered = renderer(entries)
+    renderers = {"text": render_text, "json": render_json, "sarif": render_sarif}
+    rendered = renderers[args.format](entries)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(rendered)
-        print(f"{fmt} report written to {args.output}", file=sys.stderr)
+        print(f"{args.format} report written to {args.output}", file=sys.stderr)
     else:
         print(rendered, end="")
     if obs is not None:
@@ -231,16 +229,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_number(text: str) -> int:
-    """One ``tables`` argument: a number from 1 to 5.
+def _table_number(text: str) -> Union[int, str]:
+    """One ``tables`` argument: a number from 1 to 5, or ``contexts``.
 
     Checked here rather than with ``choices``: argparse tests an empty
     ``nargs="*"`` positional's ``[]`` against its choices, which rejects
     a bare ``tables``.
     """
+    if text == "contexts":
+        return text
     if text not in ("1", "2", "3", "4", "5"):
         raise argparse.ArgumentTypeError(
-            f"invalid choice: {text} (choose from 1, 2, 3, 4, 5)"
+            f"invalid choice: {text} (choose from 1, 2, 3, 4, 5, contexts)"
         )
     return int(text)
 
@@ -271,235 +271,13 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         print()
     if 5 in wanted:
         print(tables.format_table5(tables.table5_rows()))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.suite import SUITE, analyze_suite
-    from repro.core.metrics import scheduling_metrics
-
-    obs = _obs_from(args)
-    names = args.names or sorted(SUITE)
-    tmp_store = None
-    extra = {}
-    if args.warm and not getattr(args, "store_dir", None):
-        # A warm rerun needs a persistent tier to rerun against.
-        import tempfile
-
-        tmp_store = tempfile.TemporaryDirectory(prefix="repro-icp-store-")
-        extra["store_dir"] = tmp_store.name
-
-    def _cleanup() -> None:
-        if tmp_store is not None:
-            tmp_store.cleanup()
-
-    try:
-        config = _config_from(args, **extra)
-    except ReproError:
-        _cleanup()
-        raise
-    try:
-        run = analyze_suite(
-            names, config, scale=args.scale, obs=obs,
-            diagnostics=args.check,
-        )
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        _cleanup()
-        return 1
-    lint_header = f" {'lint':>5}" if args.check else ""
-    print(
-        f"{'benchmark':<16} {'procs':>5} {'edges':>5} {'fs-formals':>10} "
-        f"{'run':>5} {'cached':>6} {'wall(s)':>9}" + lint_header
-    )
-    for name, result in run.results.items():
-        row = scheduling_metrics(name, result.sched)
-        lint_cell = f" {run.total_findings(name):>5}" if args.check else ""
-        print(
-            f"{name:<16} {len(result.pcg.nodes):>5} {len(result.pcg.edges):>5} "
-            f"{len(result.fs.constant_formals()):>10} "
-            f"{row.tasks_run:>5} {row.tasks_cached:>6} "
-            f"{run.wall_seconds.get(name, 0.0):>9.4f}" + lint_cell
-        )
-    total_wall = sum(run.wall_seconds.values())
-    lint_total = (
-        f" {sum(run.total_findings(name) for name in run.results):>5}"
-        if args.check
-        else ""
-    )
-    print(
-        f"{'total':<16} {'':>5} {'':>5} {'':>10} "
-        f"{run.tasks_run:>5} {run.tasks_cached:>6} {total_wall:>9.4f}"
-        + lint_total
-    )
-    if args.check and run.findings is not None:
-        rule_totals: dict = {}
-        for counts in run.findings.values():
-            for rule_id, count in counts.items():
-                rule_totals[rule_id] = rule_totals.get(rule_id, 0) + count
-        if rule_totals:
-            print(
-                "findings by rule: "
-                + ", ".join(
-                    f"{rule_id}={count}"
-                    for rule_id, count in sorted(rule_totals.items())
-                )
-            )
-    if run.cache_stats is not None:
-        cache = run.cache_stats
-        print(
-            f"summary cache: {cache.hits} hits, {cache.misses} misses, "
-            f"{cache.invalidations} invalidations "
-            f"(hit rate {cache.hit_rate:.0%}, {cache.entries} entries)"
-        )
-    warm = None
-    mismatched: List[str] = []
-    if args.warm:
-        from repro.core.report import analysis_report
-
-        cold_reports = {
-            name: analysis_report(result)
-            for name, result in run.results.items()
-        }
-        cold_wall = sum(run.wall_seconds.values())
-
-        # Local-warm: a second, independent pipeline over the same store.
-        # Every summary should come back from the local disk tier, and the
-        # rendered analysis must not change by a byte.
-        warm = analyze_suite(
-            names, config, scale=args.scale, obs=None, diagnostics=args.check
-        )
-        mismatched = [
-            name
-            for name in run.results
-            if cold_reports[name] != analysis_report(warm.results[name])
-        ]
-        warm_wall = sum(warm.wall_seconds.values())
-        reduction = 1.0 - (warm_wall / cold_wall) if cold_wall else 0.0
-        verdict = (
-            "reports byte-identical"
-            if not mismatched
-            else f"REPORT MISMATCH in {mismatched}"
-        )
-        print(
-            f"local-warm rerun: {warm_wall:.4f}s vs cold {cold_wall:.4f}s "
-            f"({reduction:.0%} reduction; engine runs {run.tasks_run} -> "
-            f"{warm.tasks_run}, cached {warm.tasks_cached}), {verdict}"
-        )
-    contexts_section = None
-    if getattr(args, "contexts", False):
+    if "contexts" in wanted:
         from repro.bench.suite import compare_context_modes
 
-        comparison = compare_context_modes(config=config, scale=args.scale)
-        contexts_section = {
-            "schema": "repro-icp/bench-contexts/v1",
-            "scale": args.scale,
-            "profiles": comparison,
-        }
-        print(
-            f"{'profile':<12} {'mode':<15} {'fallback':>8} {'formals':>7} "
-            f"{'ctxs':>5} {'widen':>5} {'degraded':>8} {'wall(s)':>9}"
-        )
-        for name, modes in comparison.items():
-            for mode, row in modes.items():
-                stats = row.get("contexts") or {}
-                print(
-                    f"{name:<12} {mode:<15} {row['fallback_edges']:>8} "
-                    f"{row['constant_formals']:>7} "
-                    f"{stats.get('contexts', '-'):>5} "
-                    f"{stats.get('widenings', '-'):>5} "
-                    f"{len(stats.get('degraded_procs', [])) if stats else '-':>8} "
-                    f"{row['wall_seconds']:>9.4f}"
-                )
-    if args.json:
-        _write_bench_json(
-            args.json,
-            args,
-            config,
-            run,
-            warm=warm,
-            mismatched=mismatched,
-            contexts=contexts_section,
-        )
-        print(f"bench results written to {args.json}", file=sys.stderr)
-    if obs is not None:
-        _emit_observability(args, obs, run.results.values())
-    _cleanup()
-    return 1 if mismatched else 0
-
-
-def _write_bench_json(
-    path: str,
-    args: argparse.Namespace,
-    config: ICPConfig,
-    run,
-    warm=None,
-    mismatched=(),
-    contexts=None,
-) -> None:
-    """Machine-readable bench results (the per-PR perf trajectory record)."""
-    import json
-
-    from repro.core.metrics import scheduling_metrics
-
-    programs = {}
-    for name, result in run.results.items():
-        row = scheduling_metrics(name, result.sched)
-        programs[name] = {
-            "wall_seconds": run.wall_seconds.get(name),
-            "procedures": len(result.pcg.nodes),
-            "call_edges": len(result.pcg.edges),
-            "fs_constant_formals": len(result.fs.constant_formals()),
-            "tasks_run": row.tasks_run,
-            "tasks_cached": row.tasks_cached,
-            "cache_hit_rate": row.cache_hit_rate,
-            "engine_seconds": row.analysis_seconds,
-        }
-        if run.findings is not None:
-            programs[name]["findings"] = run.findings.get(name, {})
-    payload = {
-        "schema": "repro-icp/bench/v1",
-        "cache": config.cache,
-        "scale": args.scale,
-        "engine": config.engine,
-        "totals": {
-            "wall_seconds": sum(run.wall_seconds.values()),
-            "tasks_run": run.tasks_run,
-            "tasks_cached": run.tasks_cached,
-            "cache_hit_rate": (
-                run.cache_stats.hit_rate if run.cache_stats is not None else 0.0
-            ),
-        },
-        "programs": programs,
-    }
-    if warm is not None:
-        cold_wall = sum(run.wall_seconds.values())
-        warm_wall = sum(warm.wall_seconds.values())
-        payload["warm"] = {
-            "wall_seconds": warm_wall,
-            "reduction": 1.0 - (warm_wall / cold_wall) if cold_wall else 0.0,
-            "tasks_run": warm.tasks_run,
-            "tasks_cached": warm.tasks_cached,
-            "reports_identical": not mismatched,
-        }
-    if contexts is not None:
-        payload["contexts"] = contexts
-    try:
-        # --contexts owns the "contexts" section; a bench rewrite without
-        # it keeps the section it did not regenerate.
-        with open(path, "r", encoding="utf-8") as handle:
-            existing = json.load(handle)
-        if (
-            contexts is None
-            and isinstance(existing, dict)
-            and "contexts" in existing
-        ):
-            payload["contexts"] = existing["contexts"]
-    except (OSError, ValueError):
-        pass
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        if 5 in wanted:
+            print()
+        print(tables.format_contexts(compare_context_modes()))
+    return 0
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
@@ -765,9 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("files", nargs="+", metavar="FILE")
     check.add_argument("--format", choices=("text", "json", "sarif"),
-                       default=None,
-                       help="report format (default: text, or sarif when "
-                            "the config sets diag_sarif)")
+                       default="text", help="report format (default: text)")
     check.add_argument("--output", metavar="OUT",
                        help="write the report to OUT instead of stdout")
     check.add_argument("--rules", metavar="IDS",
@@ -810,34 +586,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-steps", type=int, default=1_000_000)
     run.set_defaults(func=_cmd_run)
 
-    tables = sub.add_parser("tables", help="regenerate the paper's tables")
-    tables.add_argument("numbers", nargs="*", type=_table_number,
-                        metavar="N", help="table numbers (default: all)")
-    tables.set_defaults(func=_cmd_tables)
-
-    bench = sub.add_parser(
-        "bench", parents=[common, obs_flags],
-        help="analyze the synthetic suite in one batched run",
+    tables = sub.add_parser(
+        "tables",
+        help="regenerate the paper's tables or the value-context table",
     )
-    bench.add_argument("names", nargs="*", metavar="NAME",
-                       help="benchmark names (default: the whole suite)")
-    bench.add_argument("--scale", type=int, default=1,
-                       help="pattern-count multiplier (default: 1)")
-    bench.add_argument("--json", metavar="OUT.json",
-                       help="write machine-readable bench results "
-                            "(e.g. BENCH_icp.json) for cross-PR tracking")
-    bench.add_argument("--check", action="store_true",
-                       help="run the diagnostics engine over each benchmark "
-                            "and add a finding-count column")
-    bench.add_argument("--warm", action="store_true",
-                       help="after the cold run, rerun the suite over the "
-                            "same store (local-warm) and verify both reports "
-                            "are byte-identical")
-    bench.add_argument("--contexts", action="store_true",
-                       help="run the recursion-heavy profiles under both "
-                            "context modes and report the precision/cost "
-                            "comparison (added to --json as 'contexts')")
-    bench.set_defaults(func=_cmd_bench)
+    tables.add_argument("numbers", nargs="*", type=_table_number,
+                        metavar="N",
+                        help="table numbers 1-5, or 'contexts' for the "
+                             "context-mode comparison (default: 1-5)")
+    tables.set_defaults(func=_cmd_tables)
 
     serve = sub.add_parser(
         "serve", parents=[common, obs_flags],
@@ -889,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
 #: Subcommand names; a leading argument that is none of these (and not a
 #: flag) must name a file, which is analyzed.
 _SUBCOMMANDS = (
-    "analyze", "check", "graph", "optimize", "run", "tables", "bench",
-    "serve", "watch", "top",
+    "analyze", "check", "graph", "optimize", "run", "tables", "serve",
+    "watch", "top",
 )
 
 

@@ -181,16 +181,13 @@ class ICPConfig:
         "note",
         "weakest finding severity to report: note, warning or error",
     )
-    diag_sarif: bool = _key(
-        False, "default the check command's output format to SARIF"
-    )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ICPConfig":
         """Build a validated config from a plain mapping.
 
-        The one construction path shared by the CLI, ``bench.suite``, and
-        analysis sessions.  Unknown keys raise
+        The one construction path shared by the CLI, ``repro.api``, serve
+        shards and analysis sessions.  Unknown keys raise
         :class:`~repro.errors.ConfigError` (a ``ValueError``), catching
         typos like ``caching`` early, as does any value that does not fit
         its field's type and allowed values.  Omitted keys take the field

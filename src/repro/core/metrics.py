@@ -25,7 +25,6 @@ from repro.core.flow_insensitive import FIResult
 from repro.core.flow_sensitive import FSResult
 from repro.lang import ast
 from repro.lang.symbols import ProcedureSymbols
-from repro.sched.scheduler import SchedulerStats
 from repro.summary.modref import ModRefInfo
 
 
@@ -76,49 +75,6 @@ class PropagatedConstants:
         return _pct(self.fs_formals, self.total_formals)
 
 
-@dataclass
-class SchedulingMetrics:
-    """Engine-run and cache counters of one pipeline run (``--cache-stats``)."""
-
-    name: str
-    tasks_run: int = 0
-    tasks_cached: int = 0
-    tasks_reused: int = 0
-    analysis_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
-    cache_entries: int = 0
-
-    @property
-    def tasks_total(self) -> int:
-        return self.tasks_run + self.tasks_cached + self.tasks_reused
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-
-def scheduling_metrics(
-    name: str, sched: Optional[SchedulerStats]
-) -> SchedulingMetrics:
-    """Flatten one run's :class:`SchedulerStats` into a metrics row."""
-    row = SchedulingMetrics(name=name)
-    if sched is None:
-        return row
-    row.tasks_run = sched.tasks_run
-    row.tasks_cached = sched.tasks_cached
-    row.tasks_reused = sched.tasks_reused
-    row.analysis_seconds = sched.analysis_seconds
-    if sched.cache is not None:
-        row.cache_hits = sched.cache.hits
-        row.cache_misses = sched.cache.misses
-        row.cache_invalidations = sched.cache.invalidations
-        row.cache_entries = sched.cache.entries
-    return row
-
-
 def _pct(part: int, whole: int) -> float:
     """Percentage with a consistent zero-denominator guard.
 
@@ -137,10 +93,9 @@ def absorb_pipeline_metrics(registry, result) -> None:
     The scheduler and the flow-sensitive pass record *live* counters
     (``cache.hits``, ``sched.tasks_run``, ``engine.task_seconds``,
     ``scc.*`` visit totals) while the pipeline runs; this absorbs the
-    remaining after-the-fact state — :class:`SchedulingMetrics`-shaped
-    scheduler/cache summaries, PCG shape, phase timings — so one registry
-    snapshot covers everything ``--cache-stats`` and ``--timings`` used to
-    print piecemeal.
+    remaining after-the-fact state — scheduler and cache summaries, PCG
+    shape, phase timings — so one registry snapshot covers everything
+    ``--cache-stats`` and ``--timings`` used to print piecemeal.
     """
     sched = result.sched
     if sched is not None:
@@ -168,29 +123,6 @@ def absorb_pipeline_metrics(registry, result) -> None:
                     totals[key] = totals.get(key, 0) + value
         for key, value in totals.items():
             registry.counter(f"scc.{key}").inc(value)
-
-
-def absorb_session_metrics(registry, session, prefix: str = "session") -> None:
-    """Fold an :class:`~repro.session.AnalysisSession`'s counters into a
-    metrics registry.
-
-    Sessions already record live per-analysis metrics (``session.dirty``,
-    ``session.reuse_rate``) when their observability context has metrics
-    enabled; this absorbs the lifetime aggregates so a registry snapshot
-    taken at the *end* of an edit workload carries the whole history.  Pass
-    a distinct ``prefix`` per session when absorbing several into one
-    registry (the edit-workload harness names them after their benchmarks).
-    """
-    stats = session.stats
-    registry.gauge(f"{prefix}.edits_total").set(stats.edits)
-    registry.gauge(f"{prefix}.analyses_total").set(stats.analyses)
-    registry.gauge(f"{prefix}.total_engine_runs").set(stats.total_engine_runs)
-    registry.gauge(f"{prefix}.total_reused").set(stats.total_reused)
-    registry.gauge(f"{prefix}.last_reuse_rate").set(stats.reuse_rate)
-    cache = session.cache.stats
-    registry.gauge(f"{prefix}.cache_hits").set(cache.hits)
-    registry.gauge(f"{prefix}.cache_misses").set(cache.misses)
-    registry.gauge(f"{prefix}.cache_evictions").set(cache.evictions)
 
 
 def call_site_candidates(

@@ -1,8 +1,8 @@
 """Deterministic single-procedure mutations for incremental workloads.
 
-Feeds the differential test suite and ``repro.session.workload``: each
-mutation clones one procedure, perturbs one or more numeric literals (and
-optionally flips an additive operator), and renders the result back to
+Feeds the differential test suite and perfbench's edit-session workload:
+each mutation clones one procedure, perturbs one or more numeric literals
+(and optionally flips an additive operator), and renders the result back to
 MiniF source — exactly the shape of edit :meth:`AnalysisSession.update`
 accepts.  Mutations are analysis-safe by construction: they never touch
 divisors or introduce zeros, so constant folding stays total and the edited

@@ -8,6 +8,7 @@ from repro.bench.suite import (
     BenchmarkProfile,
     build_benchmark,
     build_benchmark_source,
+    compare_context_modes,
 )
 from repro.core.config import ICPConfig
 from repro.core.metrics import call_site_candidates, propagated_constants
@@ -200,3 +201,30 @@ class TestSuiteShape:
             result = analyze(program)
             for value in result.fi.global_constants.values():
                 assert isinstance(value, float), profile.name
+
+
+class TestContextModes:
+    def test_contexts_comparison(self):
+        profiles = compare_context_modes()
+        for name in ("rec.self", "rec.mutual", "rec.mixed", "rec.blowup"):
+            both = profiles[name]
+            assert both["carini-hind"]["fallback_edges"] > 0
+            assert "contexts" in both["value-contexts"]
+        # The resolvable profiles drop every fallback edge and win formals.
+        for name in ("rec.self", "rec.mutual", "rec.mixed"):
+            ctx = profiles[name]["value-contexts"]
+            assert ctx["fallback_edges"] == 0
+            assert (
+                ctx["constant_formals"]
+                > profiles[name]["carini-hind"]["constant_formals"]
+            )
+        # The guard profile keeps its degraded sites on the fallback.
+        blowup = profiles["rec.blowup"]["value-contexts"]
+        assert blowup["fallback_edges"] > 0
+        assert blowup["contexts"]["degraded_procs"]
+        # Precision only: speed is perfbench's to measure.
+        assert all(
+            "wall_seconds" not in row
+            for modes in profiles.values()
+            for row in modes.values()
+        )

@@ -202,35 +202,9 @@ class TestZeroDenominators:
         assert row.fi_pct == 0.0
         assert row.fs_pct == 0.0
 
-    def test_scheduling_row_without_activity(self):
-        from repro.core.metrics import SchedulingMetrics
-
-        row = SchedulingMetrics(name="empty")
-        assert row.cache_hit_rate == 0.0
-
     def test_program_without_call_args(self):
         # A real pipeline run whose program has no call-site arguments at
         # all: the percentage properties must not raise.
         t1, t2 = metrics_for("proc main() { print(0); }")
         assert t1.total_args == 0 and t1.imm_pct == 0.0
         assert t2.total_formals == 0 and t2.fs_pct == 0.0
-
-
-class TestSchedulingMetrics:
-    def test_flattens_scheduler_stats(self):
-        from repro.core.metrics import scheduling_metrics
-
-        result = analyze("proc main() { call f(1); } proc f(a) { print(a); }",
-                         cache=True)
-        row = scheduling_metrics("demo", result.sched)
-        assert row.tasks_run == 2 and row.tasks_cached == 0
-        assert row.cache_misses == 2 and row.cache_hits == 0
-        assert row.tasks_total == 2
-        assert row.cache_hit_rate == 0.0
-
-    def test_missing_stats_yield_empty_row(self):
-        from repro.core.metrics import scheduling_metrics
-
-        row = scheduling_metrics("none", None)
-        assert row.tasks_total == 0
-        assert row.cache_hit_rate == 0.0

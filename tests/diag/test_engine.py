@@ -99,7 +99,6 @@ class TestConfigSatellite:
             {
                 "diag_rules": ["ICP004", "ICP002"],
                 "diag_severity_floor": "warning",
-                "diag_sarif": True,
             }
         )
         assert ICPConfig.from_dict(config.to_dict()) == config
@@ -119,5 +118,3 @@ class TestConfigSatellite:
             ICPConfig.from_dict({"diag_rules": ["ICP999"]})
         with pytest.raises(ValueError):
             ICPConfig.from_dict({"diag_severity_floor": "loud"})
-        with pytest.raises(ValueError):
-            ICPConfig.from_dict({"diag_sarif": "yes"})

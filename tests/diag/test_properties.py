@@ -14,7 +14,6 @@ diag_payloads = st.fixed_dictionaries(
             st.none(), st.lists(rule_ids, max_size=len(RULES))
         ),
         "diag_severity_floor": st.sampled_from(SEVERITIES),
-        "diag_sarif": st.booleans(),
     },
 )
 

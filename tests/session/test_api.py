@@ -62,11 +62,12 @@ class TestConfigRoundTrip:
             ICPConfig.from_dict({"engine": "magic"})
 
     @pytest.mark.parametrize(
-        "data", [{"workers": 2}, {"executor": "thread"}],
-        ids=["workers", "executor"],
+        "data", [{"workers": 2}, {"executor": "thread"}, {"diag_sarif": True}],
+        ids=["workers", "executor", "diag_sarif"],
     )
     def test_removed_pool_keys_rejected(self, data):
-        # The worker pool and its two keys are gone: unknown keys now.
+        # The worker pool's two keys and diag_sarif, which no flag could
+        # set, are gone: unknown keys now.
         with pytest.raises(ConfigError) as error:
             ICPConfig.from_dict(data)
         message = str(error.value)
@@ -95,13 +96,6 @@ class TestConfigRoundTrip:
             ICPConfig.from_dict({"serve_rebalance": 0})
         with pytest.raises(ValueError, match="serve_rebalance"):
             ICPConfig.from_dict({"serve_rebalance": "fast"})
-
-    def test_suite_accepts_mapping(self):
-        from repro.bench.suite import analyze_suite
-
-        run = analyze_suite(["048.ora"], {"cache": True})
-        assert "048.ora" in run.results
-        assert run.cache_stats is not None
 
 
 #: A value of the wrong type for each annotation (``bool`` is not an int).

@@ -170,30 +170,3 @@ class TestBenchmarkSuite:
         session.analyze()
         for proc in list(session.program.procedures)[:10]:
             assert not session.update(proc.name, render_procedure(proc))
-
-
-class TestWorkloadHarness:
-    def test_run_workload_smoke(self, capsys):
-        from repro.session.workload import run_workload
-
-        summary = run_workload(
-            edits=4, seed=1, names=["030.matrix300", "094.fpppp"]
-        )
-        assert summary["failures"] == 0
-        assert summary["full_reruns"] == 0
-        assert summary["applied"] > 0
-        assert summary["aggregate_reuse_rate"] > 0
-
-    def test_main_writes_metrics(self, tmp_path):
-        import json
-
-        from repro.session.workload import main
-
-        out = tmp_path / "metrics.json"
-        code = main(
-            ["--edits", "2", "--names", "030.matrix300",
-             "--metrics-json", str(out)]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["gauges"]["workload.aggregate_reuse_rate"] > 0

@@ -74,11 +74,10 @@ class TestAnalyze:
 
 
 @pytest.mark.parametrize(
-    "command", ["analyze", "check", "graph", "optimize", "bench", "watch"]
+    "command", ["analyze", "check", "graph", "optimize", "watch"]
 )
 def test_config_error_is_one_line(command, source_file, capsys):
-    target = "048.ora" if command == "bench" else source_file
-    argv = [command, target, "--context-max-per-proc", "0"]
+    argv = [command, source_file, "--context-max-per-proc", "0"]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [
@@ -151,8 +150,25 @@ class TestTables:
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "repro-icp tables: error: argument N: invalid choice: 6 "
-            "(choose from 1, 2, 3, 4, 5)"
+            "(choose from 1, 2, 3, 4, 5, contexts)"
         )
+
+    def test_contexts_table(self, capsys):
+        assert main(["tables", "contexts"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("Value contexts:")
+        # fallback edges, constant formals, contexts, widenings and
+        # degraded procedures of each recursion profile under both modes.
+        assert lines[2:] == [
+            "rec.self     carini-hind            7       4     -     -        -",
+            "rec.self     value-contexts         0       8    30     0        0",
+            "rec.mutual   carini-hind            5       0     -     -        -",
+            "rec.mutual   value-contexts         0       7    24     0        0",
+            "rec.mixed    carini-hind            4       2     -     -        -",
+            "rec.mixed    value-contexts         0       9    19     0        0",
+            "rec.blowup   carini-hind            3       0     -     -        -",
+            "rec.blowup   value-contexts         2       0   134     0        2",
+        ]
 
 
 class TestScheduling:
@@ -165,15 +181,21 @@ class TestScheduling:
 
     @pytest.mark.parametrize(
         "command",
-        ["analyze", "check", "graph", "optimize", "bench", "watch", "serve"],
+        ["analyze", "check", "graph", "optimize", "watch", "serve"],
     )
     def test_jobs_flag_is_a_usage_error(self, command, source_file, capsys):
         # The worker pool and its --jobs flag are gone.
-        argv = [command] + ([] if command in ("bench", "serve") else [source_file])
+        argv = [command] + ([] if command == "serve" else [source_file])
         with pytest.raises(SystemExit) as exit_info:
             main(argv + ["--jobs", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    def test_negative_jobs_rejected(self, source_file, capsys):
+        # --jobs went with the worker pool: any value is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", source_file, "--jobs", "-1"])
+        assert exit_info.value.code == 2
 
     def test_cache_stats_flag(self, source_file, capsys):
         assert main(["analyze", source_file, "--cache-stats"]) == 0
@@ -200,15 +222,18 @@ class TestDefaultSubcommand:
         assert "icp_fs" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv", [["loadgen"], ["loadgen", "--url", "http://127.0.0.1:1"]]
+        "argv",
+        [["loadgen"], ["loadgen", "--url", "http://127.0.0.1:1"],
+         ["bench", "--warm"]],
     )
     def test_unknown_word_is_a_one_line_error(self, argv, capsys):
-        # Neither a subcommand (loadgen was removed) nor a file: one line,
-        # not an argparse usage dump or a file-not-found traceback.
+        # Neither a subcommand (loadgen and bench were removed) nor a
+        # file: one line, not an argparse usage dump or a file-not-found
+        # traceback.
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "'loadgen' is neither a subcommand" in err
+        assert f"{argv[0]!r} is neither a subcommand" in err
 
 
 class TestObservability:
@@ -272,103 +297,6 @@ class TestObservability:
         # The analysis summary itself is byte-identical; observability only
         # appends its own sections after it.
         assert instrumented.startswith(plain)
-
-
-class TestBench:
-    def test_batched_suite_run(self, capsys):
-        assert main(
-            ["bench", "048.ora", "078.swm256", "--cache-stats"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "048.ora" in out and "078.swm256" in out
-        assert "summary cache:" in out
-
-    def test_json_artifact(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_icp.json"
-        assert main(
-            ["bench", "048.ora", "--cache-stats", "--json", str(out)]
-        ) == 0
-        data = json.loads(out.read_text())
-        assert data["schema"] == "repro-icp/bench/v1"
-        assert data["cache"] is True
-        assert "workers" not in data and "executor" not in data
-        assert data["totals"]["wall_seconds"] > 0.0
-        program = data["programs"]["048.ora"]
-        assert program["wall_seconds"] > 0.0
-        assert program["tasks_run"] >= 1
-        assert 0.0 <= program["cache_hit_rate"] <= 1.0
-        assert "bench results written" in capsys.readouterr().err
-
-    def test_wall_column_rendered(self, capsys):
-        assert main(["bench", "048.ora"]) == 0
-        out = capsys.readouterr().out
-        assert "wall(s)" in out
-        assert "total" in out
-
-    def test_bench_observability_artifacts(self, tmp_path, capsys):
-        from repro.obs.trace import validate_trace_file
-
-        trace = tmp_path / "trace.json"
-        metrics = tmp_path / "metrics.json"
-        assert main(
-            ["bench", "048.ora", "--cache-stats",
-             "--trace", str(trace), "--metrics-json", str(metrics)]
-        ) == 0
-        assert validate_trace_file(str(trace)) == []
-        names = {
-            e["name"] for e in json.loads(trace.read_text())["traceEvents"]
-        }
-        assert "benchmark" in names
-        data = json.loads(metrics.read_text())
-        assert data["counters"]["sched.tasks_run"] >= 1
-
-    def test_unknown_benchmark_rejected(self, capsys):
-        assert main(["bench", "no.such.bench"]) == 1
-        assert "unknown benchmarks" in capsys.readouterr().err
-
-    def test_recursion_profiles_accepted(self, capsys):
-        assert main(["bench", "rec.self", "rec.mutual"]) == 0
-        out = capsys.readouterr().out
-        assert "rec.self" in out and "rec.mutual" in out
-
-    def test_contexts_comparison(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_icp.json"
-        assert main(["bench", "048.ora", "--contexts", "--json", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "carini-hind" in printed and "value-contexts" in printed
-        data = json.loads(out.read_text())
-        section = data["contexts"]
-        assert section["schema"] == "repro-icp/bench-contexts/v1"
-        profiles = section["profiles"]
-        for name in ("rec.self", "rec.mutual", "rec.mixed", "rec.blowup"):
-            both = profiles[name]
-            assert both["carini-hind"]["fallback_edges"] > 0
-            assert "contexts" in both["value-contexts"]
-        # The resolvable profiles drop every fallback edge and win formals.
-        for name in ("rec.self", "rec.mutual", "rec.mixed"):
-            ctx = profiles[name]["value-contexts"]
-            assert ctx["fallback_edges"] == 0
-            assert (
-                ctx["constant_formals"]
-                > profiles[name]["carini-hind"]["constant_formals"]
-            )
-        # The guard profile keeps its degraded sites on the fallback.
-        blowup = profiles["rec.blowup"]["value-contexts"]
-        assert blowup["fallback_edges"] > 0
-        assert blowup["contexts"]["degraded_procs"]
-
-    def test_contexts_section_preserved_without_flag(self, tmp_path):
-        out = tmp_path / "BENCH_icp.json"
-        assert main(["bench", "048.ora", "--contexts", "--json", str(out)]) == 0
-        assert main(["bench", "048.ora", "--json", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert data["contexts"]["schema"] == "repro-icp/bench-contexts/v1"
-
-    def test_negative_jobs_rejected(self, source_file, capsys):
-        # --jobs went with the worker pool: any value is a usage error.
-        with pytest.raises(SystemExit) as exit_info:
-            main(["analyze", source_file, "--jobs", "-1"])
-        assert exit_info.value.code == 2
 
 
 class TestWatch:
