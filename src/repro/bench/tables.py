@@ -35,15 +35,16 @@ from repro.core.metrics import (
 )
 from repro.ir.lattice import Const, LatticeValue
 
-_PIPELINE_CACHE: Dict[Tuple[str, bool], PipelineResult] = {}
+_PIPELINE_CACHE: Dict[Tuple[str, ICPConfig], PipelineResult] = {}
 
 
 def pipeline_for(
     profile: BenchmarkProfile, config: Optional[ICPConfig] = None
 ) -> PipelineResult:
-    """Run (and cache) the full pipeline for one benchmark profile."""
+    """Run (and cache, per profile and config) the full pipeline for one
+    benchmark profile."""
     config = config or ICPConfig()
-    key = (profile.name, config.propagate_floats)
+    key = (profile.name, config)
     cached = _PIPELINE_CACHE.get(key)
     if cached is not None:
         return cached

@@ -152,7 +152,15 @@ class Interpreter:
         """Execute from ``entry`` and return the observable outputs."""
         if entry not in self._procs:
             raise InterpreterError(f"no procedure named {entry!r}")
-        self._invoke(self._procs[entry], [])
+        try:
+            self._invoke(self._procs[entry], [])
+        except RecursionError:
+            # A call takes a few Python frames per level of nesting in its
+            # body, so Python's stack can run out below ``max_depth``.
+            raise StepLimitExceeded(
+                f"calls nested too deeply for Python's stack "
+                f"(call depth limit {self._max_depth})"
+            ) from None
         return ExecutionResult(outputs=self.outputs, steps=self._steps)
 
     # ------------------------------------------------------------------

@@ -24,6 +24,29 @@ def _pos_field() -> Optional[SourcePos]:
 
 
 # ----------------------------------------------------------------------
+# Operators.
+# ----------------------------------------------------------------------
+
+#: MiniF's operators, one precedence level per string, loosest first.
+#: ``not`` is a prefix operator whose operand may be a comparison; the
+#: others are binary and left-associative, except that comparisons do not
+#: chain (``a < b < c`` is an error).
+_LEVELS = ("or", "and", "not", "== != < <= > >=", "+ -", "* / %")
+
+#: Operator spelling -> precedence, 1 the loosest; the parser and the
+#: printer both read it.
+PRECEDENCE: Dict[str, int] = {
+    op: level for level, ops in enumerate(_LEVELS, 1) for op in ops.split()
+}
+
+#: The comparisons' shared level.
+COMPARISON_PRECEDENCE = PRECEDENCE["=="]
+
+#: Prefix ``-`` binds tighter than every operator in the table.
+NEGATION_PRECEDENCE = max(PRECEDENCE.values()) + 1
+
+
+# ----------------------------------------------------------------------
 # Expressions.
 # ----------------------------------------------------------------------
 

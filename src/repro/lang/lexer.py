@@ -78,13 +78,15 @@ class Lexer:
                 continue
             text = lexeme[group]
             start = index - len(text)
-            pos = SourcePos(line, start - line_start + 1)
+            column = start - line_start + 1
             if group == "word":
                 if not (text[0].isalpha() or text[0] == "_"):
-                    raise LexError(f"unexpected character {text[0]!r}", pos)
-                yield Token(KEYWORDS.get(text, ident), text, pos)
+                    raise LexError(
+                        f"unexpected character {text[0]!r}", SourcePos(line, column)
+                    )
+                yield Token(KEYWORDS.get(text, ident), text, line, column)
             elif group == "op":
-                yield Token(_OPERATORS[text], text, pos)
+                yield Token(_OPERATORS[text], text, line, column)
             elif group == "number":
                 if not text.isdecimal():
                     dot = text.find(".")
@@ -96,21 +98,22 @@ class Lexer:
                 follower = source[index : index + 1]
                 if follower.isalpha() or follower == "_":
                     raise LexError(
-                        f"identifier may not start with a digit: {text}...", pos
+                        f"identifier may not start with a digit: {text}...",
+                        SourcePos(line, column),
                     )
                 if text.isdecimal():
-                    yield Token(TokenKind.INT, int(text), pos)
+                    yield Token(TokenKind.INT, int(text), line, column)
                 else:
-                    yield Token(TokenKind.FLOAT, float(text), pos)
+                    yield Token(TokenKind.FLOAT, float(text), line, column)
             elif group == "comment":
                 self.comments.append((line, text[1:]))
             elif group == "eof":
-                yield Token(TokenKind.EOF, "", pos)
+                yield Token(TokenKind.EOF, "", line, column)
                 return
             elif text == "!":
-                raise LexError("'!' is only valid as part of '!='", pos)
+                raise LexError("'!' is only valid as part of '!='", SourcePos(line, column))
             else:
-                raise LexError(f"unexpected character {text!r}", pos)
+                raise LexError(f"unexpected character {text!r}", SourcePos(line, column))
 
 
 def tokenize(source: str) -> List[Token]:

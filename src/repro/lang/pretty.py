@@ -11,27 +11,6 @@ from typing import List
 
 from repro.lang import ast
 
-#: Precedence levels used to decide where parentheses are required.
-_PRECEDENCE = {
-    "or": 1,
-    "and": 2,
-    "not": 3,
-    "==": 4,
-    "!=": 4,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "%": 6,
-    "u-": 7,
-}
-
-_COMPARISON_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
-
 
 def _float_repr(value: float) -> str:
     """Render a float so it re-lexes as a FLOAT token (always has '.' or 'e')."""
@@ -59,24 +38,23 @@ def _expr(expr: ast.Expr, parent_prec: int) -> str:
         return f"{expr.name}[{_expr(expr.index, 0)}]"
     if isinstance(expr, ast.Unary):
         if expr.op == "not":
-            prec = _PRECEDENCE["not"]
+            prec = ast.PRECEDENCE["not"]
             text = f"not {_expr(expr.operand, prec)}"
         else:
-            prec = _PRECEDENCE["u-"]
+            prec = ast.NEGATION_PRECEDENCE
             text = f"-{_expr(expr.operand, prec)}"
         if prec < parent_prec:
             return f"({text})"
         return text
     if isinstance(expr, ast.Binary):
-        prec = _PRECEDENCE[expr.op]
-        left = _expr(expr.left, prec)
+        prec = ast.PRECEDENCE[expr.op]
         # Right operand of a same-precedence left-associative operator, and
         # any comparison operand, needs parens to survive a round-trip.
-        if expr.op in _COMPARISON_OPS:
-            right = _expr(expr.right, prec + 1)
+        if prec == ast.COMPARISON_PRECEDENCE:
             left = _expr(expr.left, prec + 1)
         else:
-            right = _expr(expr.right, prec + 1)
+            left = _expr(expr.left, prec)
+        right = _expr(expr.right, prec + 1)
         text = f"{left} {expr.op} {right}"
         if prec < parent_prec:
             return f"({text})"

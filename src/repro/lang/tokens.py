@@ -73,31 +73,30 @@ KEYWORDS = {
     "not": TokenKind.NOT,
 }
 
-#: Comparison operator token kinds, in the order tried by the lexer.
-COMPARISON_KINDS = frozenset(
-    {TokenKind.EQ, TokenKind.NE, TokenKind.LT, TokenKind.LE, TokenKind.GT, TokenKind.GE}
-)
-
-#: Additive/multiplicative arithmetic operator kinds.
-ARITHMETIC_KINDS = frozenset(
-    {TokenKind.PLUS, TokenKind.MINUS, TokenKind.STAR, TokenKind.SLASH, TokenKind.PERCENT}
-)
-
 
 class Token:
     """A single lexed token.
 
     ``value`` holds the parsed payload: an ``int`` for INT tokens, a ``float``
     for FLOAT tokens, the identifier string for IDENT tokens, and the spelling
-    for everything else.
+    for everything else.  ``line`` and ``column`` are 1-based; :attr:`pos`
+    builds a :class:`SourcePos` from them on each read, so a position object
+    exists only where an AST node or an error keeps one.
     """
 
-    __slots__ = ("kind", "value", "pos")
+    __slots__ = ("kind", "value", "line", "column")
 
-    def __init__(self, kind: TokenKind, value: Union[int, float, str], pos: SourcePos):
+    def __init__(
+        self, kind: TokenKind, value: Union[int, float, str], line: int, column: int
+    ):
         self.kind = kind
         self.value = value
-        self.pos = pos
+        self.line = line
+        self.column = column
+
+    @property
+    def pos(self) -> SourcePos:
+        return SourcePos(self.line, self.column)
 
     def __repr__(self) -> str:
         return f"Token(kind={self.kind!r}, value={self.value!r}, pos={self.pos!r})"

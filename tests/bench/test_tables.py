@@ -1,6 +1,7 @@
 """Table harness tests: rows exist, totals aggregate, shapes hold."""
 
 from repro.bench.suite import GT_SUBSET, SUITE
+from repro.core.config import ICPConfig
 from repro.bench.tables import (
     clear_cache,
     format_table1,
@@ -43,6 +44,16 @@ class TestRowGeneration:
         clear_cache()
         rows = table1_rows()
         assert rows
+
+    def test_cache_keys_on_the_whole_config(self):
+        # A cache keyed by profile and propagate_floats alone handed this
+        # config the default run's results for four profiles.
+        other = ICPConfig(engine="simple", context_mode="value-contexts")
+        clear_cache()
+        fresh = [(row.name, row.measured) for row in table2_rows(other)]
+        clear_cache()
+        table2_rows()
+        assert [(row.name, row.measured) for row in table2_rows(other)] == fresh
 
 
 class TestTable5Shape:

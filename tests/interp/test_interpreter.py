@@ -168,6 +168,19 @@ class TestErrors:
                 max_depth=50,
             )
 
+    def test_python_stack_exhaustion_is_a_step_limit(self):
+        # About six Python frames per call: Python's stack ran out at a
+        # call depth of about 170, below the default limit of 200, and
+        # surfaced as a RecursionError.
+        source = (
+            "proc main() { call f(0); }"
+            " proc f(n) { if (n < 1000) { call f(n + 1); } }"
+        )
+        with pytest.raises(StepLimitExceeded, match="Python's stack"):
+            run(source)
+        with pytest.raises(StepLimitExceeded, match="Python's stack"):
+            run(source, max_depth=5000)
+
     def test_int_squaring_loop_terminates_fast(self):
         # Regression: before the integer-magnitude cap this program burned
         # CPU indefinitely — the step budget bounds how many multiplications

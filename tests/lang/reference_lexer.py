@@ -9,9 +9,10 @@ tracks 1-based line/column positions.  Numeric literals::
     FLOAT := digit+ "." digit* exponent?  |  digit+ exponent
     exponent := ("e" | "E") ("+" | "-")? digit+
 
-Its digits are ``str.isdigit()`` characters, so a non-decimal digit such
-as ``²`` reaches ``int()`` and raises ``ValueError``; the regex lexer
-rejects it with a ``LexError`` instead.
+It builds each :class:`Token` from a line and a column, as the regex
+lexer does.  Its digits are ``str.isdigit()`` characters, so a
+non-decimal digit such as ``²`` reaches ``int()`` and raises
+``ValueError``; the regex lexer rejects it with a ``LexError`` instead.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class ReferenceLexer:
         while True:
             self._skip_whitespace_and_comments()
             if self._at_end():
-                yield Token(TokenKind.EOF, "", self._pos())
+                yield Token(TokenKind.EOF, "", self._line, self._column)
                 return
             yield self._next_token()
 
@@ -121,10 +122,10 @@ class ReferenceLexer:
         if two in _TWO_CHAR_OPS:
             self._advance()
             self._advance()
-            return Token(_TWO_CHAR_OPS[two], two, pos)
+            return Token(_TWO_CHAR_OPS[two], two, pos.line, pos.column)
         if char in _ONE_CHAR_OPS:
             self._advance()
-            return Token(_ONE_CHAR_OPS[char], char, pos)
+            return Token(_ONE_CHAR_OPS[char], char, pos.line, pos.column)
         if char == "!":
             raise LexError("'!' is only valid as part of '!='", pos)
         raise LexError(f"unexpected character {char!r}", pos)
@@ -153,8 +154,8 @@ class ReferenceLexer:
         if self._peek().isalpha() or self._peek() == "_":
             raise LexError(f"identifier may not start with a digit: {text}...", pos)
         if is_float:
-            return Token(TokenKind.FLOAT, float(text), pos)
-        return Token(TokenKind.INT, int(text), pos)
+            return Token(TokenKind.FLOAT, float(text), pos.line, pos.column)
+        return Token(TokenKind.INT, int(text), pos.line, pos.column)
 
     def _lex_word(self, pos: SourcePos) -> Token:
         chars = [self._advance()]
@@ -163,6 +164,6 @@ class ReferenceLexer:
         word = "".join(chars)
         kind = KEYWORDS.get(word)
         if kind is not None:
-            return Token(kind, word, pos)
-        return Token(TokenKind.IDENT, word, pos)
+            return Token(kind, word, pos.line, pos.column)
+        return Token(TokenKind.IDENT, word, pos.line, pos.column)
 

@@ -1,5 +1,8 @@
 """Parser unit tests: every construct, precedence, and error reporting."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ParseError
@@ -190,6 +193,38 @@ class TestExpressions:
     def test_empty_expression(self):
         with pytest.raises(ParseError, match="expression"):
             parse_expression("")
+
+
+class TestOperatorTable:
+    def test_language_doc_lists_the_table(self):
+        doc = Path(__file__).parents[2] / "docs" / "LANGUAGE.md"
+        levels = {}
+        for level, operators, form in re.findall(
+            r"^\| (\d) \| (.+?) \| (.+?) \|$", doc.read_text(), re.M
+        ):
+            for op in re.findall(r"`([^`]+)`", operators):
+                levels["negate" if op == "-" and form == "prefix" else op] = int(level)
+        assert levels == {**ast.PRECEDENCE, "negate": ast.NEGATION_PRECEDENCE}
+
+    def test_each_level_binds_looser_than_the_next(self):
+        ops = ["or", "and", "==", "+", "*"]
+        for loose, tight in zip(ops, ops[1:]):
+            expr = parse_expression(f"a {loose} b {tight} c")
+            assert expr.op == loose and expr.right.op == tight
+            expr = parse_expression(f"a {tight} b {loose} c")
+            assert expr.op == loose and expr.left.op == tight
+
+    def test_not_sits_between_and_and_the_comparisons(self):
+        expr = parse_expression("not a < b and c")
+        assert expr.op == "and"
+        assert expr.left == ast.Unary("not", ast.Binary("<", ast.Var("a"), ast.Var("b")))
+        with pytest.raises(ParseError, match="expected an expression, found 'not'"):
+            parse_expression("a < not b")
+
+    def test_comparisons_do_not_chain(self):
+        with pytest.raises(ParseError, match="comparisons do not chain") as info:
+            parse_expression("a < b + 1 == c")
+        assert info.value.pos.column == 11
 
 
 class TestLiteralValueHelper:
