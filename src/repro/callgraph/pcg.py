@@ -19,6 +19,7 @@ site.  The graph provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lang import ast
@@ -216,6 +217,15 @@ class PCG:
     def rpo_position(self, proc: str) -> int:
         return self._rpo_index[proc]
 
+    @cached_property
+    def edge_keys(self) -> Dict[str, Tuple[Tuple, Tuple]]:
+        """Each node's (incoming, outgoing) edge key, as :func:`diff_pcg`
+        compares them; rendered once, since a built graph never changes."""
+        return {
+            proc: (_incoming_key(self, proc), _outgoing_key(self, proc))
+            for proc in self.nodes
+        }
+
     def __str__(self) -> str:
         lines = [f"PCG entry={self.entry} nodes={len(self.nodes)} edges={len(self.edges)}"]
         for edge in self.edges:
@@ -274,21 +284,16 @@ def _outgoing_key(pcg: PCG, proc: str) -> Tuple:
 
 def diff_pcg(old: PCG, new: PCG) -> PCGDelta:
     """Diff two PCGs procedure by procedure (incremental re-analysis input)."""
-    old_nodes = set(old.nodes)
-    new_nodes = set(new.nodes)
-    common = old_nodes & new_nodes
+    old_keys, new_keys = old.edge_keys, new.edge_keys
+    common = old_keys.keys() & new_keys.keys()
     return PCGDelta(
-        new_procs=frozenset(new_nodes - old_nodes),
-        dropped_procs=frozenset(old_nodes - new_nodes),
+        new_procs=frozenset(new_keys.keys() - old_keys.keys()),
+        dropped_procs=frozenset(old_keys.keys() - new_keys.keys()),
         incoming_changed=frozenset(
-            proc
-            for proc in common
-            if _incoming_key(old, proc) != _incoming_key(new, proc)
+            proc for proc in common if old_keys[proc][0] != new_keys[proc][0]
         ),
         outgoing_changed=frozenset(
-            proc
-            for proc in common
-            if _outgoing_key(old, proc) != _outgoing_key(new, proc)
+            proc for proc in common if old_keys[proc][1] != new_keys[proc][1]
         ),
     )
 

@@ -2,7 +2,7 @@
 
 ::
 
-    1. Collect IPA inputs                     (parse, validate, symbols)
+    1. Collect IPA inputs                     (parse, symbols, validate)
     2. Construct the Program Call Graph       (repro.callgraph)
     3. Perform Interprocedural Aliasing       (repro.summary.alias)
     4. Compute Interprocedural Mod and Ref    (repro.summary.modref)
@@ -166,11 +166,14 @@ def whole_program_phases(
     source: Union[str, ast.Program],
     config: ICPConfig,
     obs: Observability = NULL_OBS,
+    previous: Optional[Dict[str, ProcedureSymbols]] = None,
 ) -> WholeProgram:
-    """Parse (for text), validate, collect, PCG, alias, MOD/REF, FI ICP.
+    """Parse (for text), collect, validate, PCG, alias, MOD/REF, FI ICP.
 
     None of these passes runs the intraprocedural engine.  The serve
-    daemon's flow-insensitive fallback stops here.
+    daemon's flow-insensitive fallback stops here.  ``previous`` is an
+    earlier run's symbols: each procedure that is still the same object
+    keeps its entry instead of being collected again.
     """
     timings: Dict[str, float] = {}
     phase = partial(timed_phase, timings, obs.tracer)
@@ -180,12 +183,13 @@ def whole_program_phases(
         program = phase("parse", parse_program, source)
     else:
         program = source
+    symbols = phase("collect", collect_symbols, program, previous=previous)
     phase(
         "validate", validate_program, program,
         require_main=(config.entry == "main"),
         allow_missing=config.allow_missing,
+        symbols=symbols,
     )
-    symbols = phase("collect", collect_symbols, program)
 
     # 2. Program call graph.
     pcg = phase("pcg", build_pcg, program, symbols, config.entry)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.callgraph.pcg import PCG
@@ -33,6 +34,7 @@ from repro.core.config import ICPConfig
 from repro.ir.lattice import BOTTOM, TOP, Const, LatticeValue, meet
 from repro.lang import ast
 from repro.lang.symbols import CallSite, ProcedureSymbols
+from repro.sched.cache import value_token
 from repro.summary.modref import ModRefInfo
 
 FormalKey = Tuple[str, str]  # (procedure, formal name)
@@ -65,6 +67,26 @@ class FIResult:
 
     def constant_formals(self) -> List[FormalKey]:
         return sorted(k for k, v in self.formal_values.items() if v.is_const)
+
+    @cached_property
+    def fallback_snapshot(self) -> str:
+        """Type-sensitive rendering of the facts the FS fallback consumes.
+
+        Fallback edges read :meth:`arg_value` and ``global_constants``;
+        both are tokenized with the payload type baked in, because
+        ``Const(2) == Const(2.0)`` under plain dataclass equality while the
+        two propagate differently.  Rendered on first use: nothing changes
+        a result after :func:`flow_insensitive_icp` returns it.
+        """
+        parts = [
+            f"g:{name}={type(value).__name__}:{value!r}"
+            for name, value in sorted(self.global_constants.items())
+        ]
+        parts.extend(
+            f"a:{caller}:{site}:{pos}={value_token(value)}"
+            for (caller, site, pos), value in sorted(self.arg_values.items())
+        )
+        return "\n".join(parts)
 
     def entry_env(self, proc: str, symbols: ProcedureSymbols) -> Dict[str, LatticeValue]:
         """Entry lattice environment of ``proc`` under the FI solution."""

@@ -3,13 +3,16 @@
 Every analysis needs to know, for a given procedure, which names are formals,
 which are globals, and which are locals, plus the *immediately* assigned and
 referenced variable sets (the IMOD/IREF of the MOD/REF literature, restricted
-to variables visible here).  This module computes those once per procedure.
+to variables visible here).  This module computes those once per procedure:
+:func:`collect_symbols` reuses a previous collection's entry for every
+procedure that is still the very same AST object under the same globals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set
 
 from repro.lang import ast
 
@@ -43,7 +46,11 @@ class CallSite:
 
 @dataclass
 class ProcedureSymbols:
-    """Symbol information for one procedure."""
+    """Symbol information for one procedure.
+
+    Nothing changes a collected entry (or the procedure it was collected
+    from) in place, so the derived sets are computed once, on first use.
+    """
 
     name: str
     formals: List[str]
@@ -56,8 +63,12 @@ class ProcedureSymbols:
     #: Names used with subscript syntax (arrays) / in scalar contexts.
     array_names: FrozenSet[str] = frozenset()
     scalar_names: FrozenSet[str] = frozenset()
+    #: The procedure these symbols were collected from.
+    procedure: Optional[ast.Procedure] = field(
+        default=None, compare=False, repr=False
+    )
 
-    @property
+    @cached_property
     def formal_set(self) -> FrozenSet[str]:
         return frozenset(self.formals)
 
@@ -69,14 +80,14 @@ class ProcedureSymbols:
             return "global"
         return "local"
 
-    @property
+    @cached_property
     def imod_visible(self) -> FrozenSet[str]:
         """Directly assigned variables visible to callers (globals + formals)."""
         return frozenset(
             name for name in self.assigned if self.kind_of(name) != "local"
         )
 
-    @property
+    @cached_property
     def iref_visible(self) -> FrozenSet[str]:
         """Directly referenced variables visible to callers (globals + formals)."""
         return frozenset(
@@ -84,12 +95,28 @@ class ProcedureSymbols:
         )
 
 
-def collect_symbols(program: ast.Program) -> Dict[str, ProcedureSymbols]:
-    """Compute :class:`ProcedureSymbols` for every procedure in ``program``."""
+def collect_symbols(
+    program: ast.Program,
+    previous: Optional[Mapping[str, ProcedureSymbols]] = None,
+) -> Dict[str, ProcedureSymbols]:
+    """Compute :class:`ProcedureSymbols` for every procedure in ``program``.
+
+    An entry of ``previous`` (an earlier collection) is reused when it was
+    collected from the identical ``ast.Procedure`` object under equal
+    globals; every other procedure is walked afresh.
+    """
     globals_in_scope = frozenset(program.global_names)
+    previous = previous or {}
     result: Dict[str, ProcedureSymbols] = {}
     for proc in program.procedures:
-        result[proc.name] = _collect_one(proc, globals_in_scope)
+        symbols = previous.get(proc.name)
+        if (
+            symbols is None
+            or symbols.procedure is not proc
+            or symbols.globals_in_scope != globals_in_scope
+        ):
+            symbols = _collect_one(proc, globals_in_scope)
+        result[proc.name] = symbols
     return result
 
 
@@ -141,6 +168,7 @@ def _collect_one(
         has_value_return=has_value_return,
         array_names=frozenset(array_names),
         scalar_names=frozenset(scalar_names),
+        procedure=proc,
     )
 
 

@@ -15,47 +15,48 @@ Checks performed (each violation raises :class:`ValidationError`):
   a scalar context — bare-variable call arguments are exempt (they may pass
   a whole array by reference, exactly as Fortran does);
 - if ``require_main`` is set, a zero-argument ``main`` procedure exists.
+
+The per-procedure checks read the procedure's
+:class:`~repro.lang.symbols.ProcedureSymbols` (call sites in pre-order,
+``has_value_return``, array and scalar names), so validation never walks a
+procedure body itself.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict, Optional, Set
 
 from repro.errors import ValidationError
 from repro.lang import ast
+from repro.lang.symbols import ProcedureSymbols, collect_symbols
 
 
 def validate_program(
     program: ast.Program,
     require_main: bool = True,
     allow_missing: bool = False,
+    symbols: Optional[Dict[str, ProcedureSymbols]] = None,
 ) -> None:
-    """Validate ``program``; raise :class:`ValidationError` on the first issue."""
+    """Validate ``program``; raise :class:`ValidationError` on the first fault.
+
+    ``symbols`` is ``collect_symbols(program)`` when the caller already
+    has it; otherwise it is collected here.
+    """
+    if symbols is None:
+        symbols = collect_symbols(program)
+    global_names = program.global_set()
     _check_globals(program)
-    proc_names = _check_procedure_names(program)
-    _check_inits(program)
+    arity = _check_procedure_names(program, global_names)
+    _check_inits(program, global_names)
     value_callees: Set[str] = set()
     for proc in program.procedures:
-        _check_formals(program, proc)
-        _check_body(program, proc, proc_names, allow_missing, value_callees)
-        _check_usage_consistency(proc)
-    _check_value_callees(program, value_callees)
+        proc_symbols = symbols[proc.name]
+        _check_formals(proc, global_names)
+        _check_calls(proc_symbols, arity, allow_missing, value_callees)
+        _check_usage_consistency(proc, proc_symbols)
+    _check_value_callees(program, symbols, value_callees)
     if require_main:
         _check_main(program)
-
-
-def _check_usage_consistency(proc: ast.Procedure) -> None:
-    from repro.lang.symbols import _collect_one
-
-    symbols = _collect_one(proc, frozenset())
-    mixed = symbols.array_names & symbols.scalar_names
-    if mixed:
-        name = sorted(mixed)[0]
-        raise ValidationError(
-            f"{name!r} is used both as an array and as a scalar in "
-            f"{proc.name!r}",
-            proc.pos,
-        )
 
 
 def _check_globals(program: ast.Program) -> None:
@@ -66,21 +67,23 @@ def _check_globals(program: ast.Program) -> None:
         seen.add(name)
 
 
-def _check_procedure_names(program: ast.Program) -> Set[str]:
-    names: Set[str] = set()
+def _check_procedure_names(
+    program: ast.Program, global_names: Set[str]
+) -> Dict[str, int]:
+    """Check procedure names; return each procedure's formal count."""
+    arity: Dict[str, int] = {}
     for proc in program.procedures:
-        if proc.name in names:
+        if proc.name in arity:
             raise ValidationError(f"duplicate procedure: {proc.name!r}", proc.pos)
-        if proc.name in program.global_set():
+        if proc.name in global_names:
             raise ValidationError(
                 f"procedure {proc.name!r} shadows a global variable", proc.pos
             )
-        names.add(proc.name)
-    return names
+        arity[proc.name] = len(proc.formals)
+    return arity
 
 
-def _check_inits(program: ast.Program) -> None:
-    global_names = program.global_set()
+def _check_inits(program: ast.Program, global_names: Set[str]) -> None:
     for entry in program.inits:
         if entry.name not in global_names:
             raise ValidationError(
@@ -88,70 +91,71 @@ def _check_inits(program: ast.Program) -> None:
             )
 
 
-def _check_formals(program: ast.Program, proc: ast.Procedure) -> None:
+def _check_formals(proc: ast.Procedure, global_names: Set[str]) -> None:
     seen: Set[str] = set()
     for formal in proc.formals:
         if formal in seen:
             raise ValidationError(
                 f"duplicate formal {formal!r} in procedure {proc.name!r}", proc.pos
             )
-        if formal in program.global_set():
+        if formal in global_names:
             raise ValidationError(
                 f"formal {formal!r} of {proc.name!r} shadows a global", proc.pos
             )
         seen.add(formal)
 
 
-def _check_body(
-    program: ast.Program,
-    proc: ast.Procedure,
-    proc_names: Set[str],
+def _check_calls(
+    symbols: ProcedureSymbols,
+    arity: Dict[str, int],
     allow_missing: bool,
     value_callees: Set[str],
 ) -> None:
-    for stmt in ast.walk_statements(proc.body):
-        if isinstance(stmt, (ast.CallStmt, ast.CallAssign)):
-            _check_call(program, proc, stmt, proc_names, allow_missing)
-            if isinstance(stmt, ast.CallAssign) and stmt.callee in proc_names:
-                value_callees.add(stmt.callee)
+    for site in symbols.call_sites:
+        callee = site.callee
+        formals = arity.get(callee)
+        if formals is None:
+            if allow_missing:
+                continue
+            raise ValidationError(
+                f"call to unknown procedure {callee!r} in {symbols.name!r}",
+                site.stmt.pos,
+            )
+        if len(site.args) != formals:
+            raise ValidationError(
+                f"call to {callee!r} in {symbols.name!r} passes "
+                f"{len(site.args)} argument(s); {callee!r} declares "
+                f"{formals} formal(s)",
+                site.stmt.pos,
+            )
+        if site.is_value_call:
+            value_callees.add(callee)
 
 
-def _check_call(
-    program: ast.Program,
-    proc: ast.Procedure,
-    stmt: ast.Stmt,
-    proc_names: Set[str],
-    allow_missing: bool,
+def _check_usage_consistency(
+    proc: ast.Procedure, symbols: ProcedureSymbols
 ) -> None:
-    callee = stmt.callee  # type: ignore[union-attr]
-    args = stmt.args  # type: ignore[union-attr]
-    if callee not in proc_names:
-        if allow_missing:
-            return
+    mixed = symbols.array_names & symbols.scalar_names
+    if mixed:
+        name = sorted(mixed)[0]
         raise ValidationError(
-            f"call to unknown procedure {callee!r} in {proc.name!r}", stmt.pos
-        )
-    target = program.procedure(callee)
-    if len(args) != len(target.formals):
-        raise ValidationError(
-            f"call to {callee!r} in {proc.name!r} passes {len(args)} argument(s); "
-            f"{callee!r} declares {len(target.formals)} formal(s)",
-            stmt.pos,
+            f"{name!r} is used both as an array and as a scalar in "
+            f"{proc.name!r}",
+            proc.pos,
         )
 
 
-def _check_value_callees(program: ast.Program, value_callees: Set[str]) -> None:
+def _check_value_callees(
+    program: ast.Program,
+    symbols: Dict[str, ProcedureSymbols],
+    value_callees: Set[str],
+) -> None:
     for name in sorted(value_callees):
-        proc = program.procedure(name)
-        has_value_return = any(
-            isinstance(stmt, ast.Return) and stmt.expr is not None
-            for stmt in ast.walk_statements(proc.body)
-        )
-        if not has_value_return:
+        if not symbols[name].has_value_return:
             raise ValidationError(
                 f"procedure {name!r} is used in value position but never "
                 "returns a value",
-                proc.pos,
+                program.procedure(name).pos,
             )
 
 

@@ -39,8 +39,8 @@ class CacheStats:
     #: re-analyses forced by an actual input change.
     invalidations: int = 0
     entries: int = 0
-    #: Entries garbage-collected by :meth:`SummaryCache.evict_procs` after a
-    #: procedure was removed or rewritten in a long-lived session.
+    #: Entries reclaimed by :meth:`SummaryCache.sweep` (a long-lived
+    #: session sweeps after every analysis and procedure removal).
     evictions: int = 0
 
     @property
@@ -62,14 +62,17 @@ class CacheStats:
 class SummaryCache:
     """Memoized per-procedure analyses keyed by content fingerprints.
 
-    A *slot* is a ``(pass label, procedure name)`` pair; the cache remembers
-    the last key seen per slot so it can count invalidations — lookups where
-    the slot was populated but its inputs changed.
+    A *slot* is a ``(pass label, procedure name)`` pair.  The cache
+    remembers each slot's current key, to count invalidations (lookups
+    where the slot was populated but its inputs changed), and the key
+    before it, so :meth:`sweep` can keep exactly the entries a slot's last
+    two keys name: an edit that is reverted before the next one still hits.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[str, IntraResult] = {}
         self._slot_keys: Dict[Tuple[str, str], str] = {}
+        self._previous_keys: Dict[Tuple[str, str], str] = {}
         self.stats = CacheStats()
 
     def lookup(
@@ -85,11 +88,19 @@ class SummaryCache:
             self.stats.hits += 1
         else:
             self.stats.misses += 1
-            previous = self._slot_keys.get(slot)
-            if previous is not None and previous != key:
+            current = self._slot_keys.get(slot)
+            if current is not None and current != key:
                 self.stats.invalidations += 1
-        self._slot_keys[slot] = key
+        self._use(slot, key)
         return entry
+
+    def _use(self, slot: Tuple[str, str], key: str) -> None:
+        """Make ``key`` the slot's current key, keeping the one it replaces."""
+        current = self._slot_keys.get(slot)
+        if current != key:
+            if current is not None:
+                self._previous_keys[slot] = current
+            self._slot_keys[slot] = key
 
     def _fetch(self, key: str, task) -> Optional[IntraResult]:
         """Tier-resolution hook: the base cache knows only memory."""
@@ -99,25 +110,31 @@ class SummaryCache:
         if key not in self._entries:
             self.stats.entries += 1
         self._entries[key] = value
-        self._slot_keys[slot] = key
+        self._use(slot, key)
 
     def evict_procs(self, names: Iterable[str]) -> int:
-        """Drop every slot for the named procedures, GC orphaned entries.
+        """Drop every slot of the named procedures, then :meth:`sweep`.
 
-        PCG-edge-aware invalidation for session edits: a removed (or
-        rewritten) procedure's slots go away immediately, and any memoized
-        result no longer referenced by a surviving slot is reclaimed rather
-        than accumulating for the lifetime of the session.  Returns the
-        number of entries reclaimed.
+        A removed (or unreachable) procedure's slots go away in a session
+        at once.  Returns the number of entries reclaimed.
         """
         doomed = set(names)
-        self._slot_keys = {
-            slot: key
-            for slot, key in self._slot_keys.items()
-            if slot[1] not in doomed
-        }
-        live_keys = set(self._slot_keys.values())
-        reclaimed = [key for key in self._entries if key not in live_keys]
+        for keys in (self._slot_keys, self._previous_keys):
+            for slot in [slot for slot in keys if slot[1] in doomed]:
+                del keys[slot]
+        return self.sweep()
+
+    def sweep(self) -> int:
+        """Reclaim every entry that is no slot's current or previous key.
+
+        A long-lived session sweeps after each analysis, so its memory
+        levels off at two entries per slot.  A cache shared across
+        programs (a pipeline's) is never swept: its slot names collide
+        between programs.  Returns the number of entries reclaimed.
+        """
+        live = set(self._slot_keys.values())
+        live.update(self._previous_keys.values())
+        reclaimed = [key for key in self._entries if key not in live]
         for key in reclaimed:
             del self._entries[key]
         self.stats.evictions += len(reclaimed)
@@ -127,6 +144,7 @@ class SummaryCache:
     def clear(self) -> None:
         self._entries.clear()
         self._slot_keys.clear()
+        self._previous_keys.clear()
         self.stats = CacheStats()
 
     def __len__(self) -> int:

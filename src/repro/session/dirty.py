@@ -47,7 +47,6 @@ from typing import FrozenSet, Iterable, Set
 
 from repro.callgraph.pcg import PCG, PCGDelta, diff_pcg
 from repro.core.flow_insensitive import FIResult
-from repro.sched.cache import value_token
 from repro.summary.alias import AliasInfo, changed_alias_procs
 from repro.summary.modref import ModRefInfo, changed_modref_procs
 
@@ -82,25 +81,6 @@ def forward_closure(pcg: PCG, seeds: Iterable[str]) -> Set[str]:
     return closed
 
 
-def fi_snapshot(fi: FIResult) -> str:
-    """Type-sensitive rendering of the FI facts the FS fallback consumes.
-
-    Fallback edges read ``fi.arg_value(site, index)`` and
-    ``fi.global_constants``; both are tokenized with the payload type baked
-    in, because ``Const(2) == Const(2.0)`` under plain dataclass equality
-    while the two propagate differently.
-    """
-    parts = [
-        f"g:{name}={type(value).__name__}:{value!r}"
-        for name, value in sorted(fi.global_constants.items())
-    ]
-    parts.extend(
-        f"a:{caller}:{site}:{pos}={value_token(value)}"
-        for (caller, site, pos), value in sorted(fi.arg_values.items())
-    )
-    return "\n".join(parts)
-
-
 def compute_dirty_region(
     edited: Set[str],
     old_pcg: PCG,
@@ -116,12 +96,14 @@ def compute_dirty_region(
 
     Every argument pair is cheap to recompute whole-program (no
     intraprocedural engine involved); only the flow-sensitive pass — the
-    expensive one — is gated by the region computed here.
+    expensive one — is gated by the region computed here.  The PCG edge
+    keys and the FI snapshot are rendered once per object, so in a session
+    the old side is the previous edit's new side, already rendered.
     """
     delta = diff_pcg(old_pcg, new_pcg)
     alias_changed = changed_alias_procs(old_aliases, new_aliases)
     modref_changed = changed_modref_procs(old_modref, new_modref)
-    fi_changed = fi_snapshot(old_fi) != fi_snapshot(new_fi)
+    fi_changed = old_fi.fallback_snapshot != new_fi.fallback_snapshot
     nodes = new_pcg.reachable
 
     seeds: Set[str] = set(edited) & nodes

@@ -7,10 +7,13 @@ edit, :meth:`AnalysisSession.analyze` re-runs only the PCG region whose
 analysis inputs actually changed:
 
 1. The pipeline's whole-program half
-   (:func:`repro.core.driver.whole_program_phases`: validation, symbols,
-   PCG, aliasing, MOD/REF, flow-insensitive ICP) recomputes
-   unconditionally — none of it runs the intraprocedural engine, and its
-   fresh solutions feed the dirty-region diff.
+   (:func:`repro.core.driver.whole_program_phases`: symbols, validation,
+   PCG, aliasing, MOD/REF, flow-insensitive ICP) runs on every analysis,
+   without the intraprocedural engine; its fresh solutions feed the
+   dirty-region diff.  Symbols are reused by identity: every procedure
+   object an edit did not replace keeps its previous
+   :class:`~repro.lang.symbols.ProcedureSymbols`, and validation reads
+   those symbols rather than walking the bodies again.
 2. :func:`repro.session.dirty.compute_dirty_region`, timed as phase
    ``dirty``, derives the set of procedures whose flow-sensitive analysis
    could differ; everything else copies its previous result verbatim (no
@@ -19,7 +22,8 @@ analysis inputs actually changed:
    flow-sensitive ICP, USE, returns, transform) runs the engine over the
    dirty region only, with the session's summary cache behind it, so even
    dirty procedures whose inputs round-tripped (an edit that was reverted)
-   come back as cache hits.
+   come back as cache hits.  After each analysis the session sweeps the
+   cache down to each slot's last two keys, so its memory levels off.
 
 The produced :class:`~repro.core.driver.PipelineResult` renders
 byte-identically (``repro.core.report.analysis_report``) to a cold
@@ -249,12 +253,15 @@ class AnalysisSession:
         """Re-analyze, re-running the engine over the dirty region only."""
         config = self.config
         obs = self.obs
-        front = whole_program_phases(self.program, config, obs)
+        previous = self.result
+        front = whole_program_phases(
+            self.program, config, obs,
+            previous=previous.symbols if previous is not None else None,
+        )
 
         region: Optional[DirtyRegion] = None
         fs_reuse: Optional[FSReuse] = None
         use_reuse: Optional[UseReuse] = None
-        previous = self.result
         if previous is not None and not self._full_dirty:
             region = timed_phase(
                 front.timings, obs.tracer, "dirty", compute_dirty_region,
@@ -285,8 +292,11 @@ class AnalysisSession:
         result = engine_phases(
             front, config, obs, self.cache, run_transform, fs_reuse, use_reuse
         )
-        if region is not None and region.delta.dropped_procs:
-            self.cache.evict_procs(region.delta.dropped_procs)
+        # Unreachable procedures lose their slots; every slot keeps only
+        # its last two keys' entries, so the cache stays bounded.
+        self.cache.evict_procs(
+            region.delta.dropped_procs if region is not None else ()
+        )
 
         self.result = result
         self.last_region = region

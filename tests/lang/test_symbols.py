@@ -96,3 +96,36 @@ class TestCallSites:
         (site,) = table["main"].call_sites
         assert site.is_value_call
         assert len(site.args) == 1
+
+
+class TestReuse:
+    def test_identical_procedures_keep_their_entries(self):
+        program = parse_program(SOURCE)
+        first = collect_symbols(program)
+        again = collect_symbols(program, previous=first)
+        assert all(again[name] is first[name] for name in first)
+
+    def test_replaced_procedure_is_collected_again(self):
+        program = parse_program(SOURCE)
+        first = collect_symbols(program)
+        program.procedures[1] = parse_program(
+            "proc work(a, b) { print(a + b); }"
+        ).procedures[0]
+        again = collect_symbols(program, previous=first)
+        assert again["main"] is first["main"]
+        assert again["work"] is not first["work"]
+        assert again["work"].call_sites == []
+
+    def test_changed_globals_collect_everything_again(self):
+        program = parse_program(SOURCE)
+        first = collect_symbols(program)
+        program.global_names.append("t")
+        again = collect_symbols(program, previous=first)
+        assert all(again[name] is not first[name] for name in first)
+        assert again["work"].kind_of("t") == "global"
+
+    def test_derived_sets_are_computed_once(self):
+        work = symbols_for()["work"]
+        assert work.formal_set is work.formal_set
+        assert work.imod_visible is work.imod_visible
+        assert work.iref_visible is work.iref_visible

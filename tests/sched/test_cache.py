@@ -114,6 +114,47 @@ proc leaf() { g = 2; print(1); }
         assert reverted.sched.cache.hit_rate == 1.0
 
 
+class TestSweep:
+    """A session's cache keeps the entries of each slot's last two keys."""
+
+    SLOT = ("fs", "leaf")
+
+    def fill(self, cache, *keys):
+        for key in keys:
+            if cache.lookup(self.SLOT, key) is None:
+                cache.store(self.SLOT, key, key)
+
+    def test_keeps_current_and_previous_keys(self):
+        cache = SummaryCache()
+        self.fill(cache, "k1", "k2", "k3")
+        assert cache.sweep() == 1
+        assert cache.stats.evictions == 1
+        assert len(cache) == cache.stats.entries == 2
+        assert cache.lookup(self.SLOT, "k1") is None
+        assert cache.lookup(self.SLOT, "k2") == "k2"
+
+    def test_revert_of_the_last_change_hits_after_a_sweep(self):
+        cache = SummaryCache()
+        self.fill(cache, "k1", "k2")
+        cache.sweep()
+        assert cache.lookup(self.SLOT, "k1") == "k1"
+        self.fill(cache, "k1", "k2", "k1")
+        assert cache.sweep() == 0
+
+    def test_repeated_key_does_not_age_the_previous_one(self):
+        cache = SummaryCache()
+        self.fill(cache, "k1", "k2", "k2", "k2")
+        assert cache.sweep() == 0
+        assert len(cache) == 2
+
+    def test_evicted_procedures_lose_both_keys(self):
+        cache = SummaryCache()
+        self.fill(cache, "k1", "k2")
+        cache.store(("fs", "main"), "m1", "m1")
+        assert cache.evict_procs(["leaf"]) == 2
+        assert len(cache) == 1
+
+
 class TestDisabledCache:
     def test_disabled_cache_matches_seed_behavior(self):
         source = CHAIN % "1"
