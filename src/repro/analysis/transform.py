@@ -24,6 +24,7 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.analysis.base import CallEffects
 from repro.analysis.scc import SCCDetail, SCCEngine
+from repro.core.collector import collector_paused
 from repro.ir.cfg import Branch, CallInstr
 from repro.ir.eval import EvalError, apply_binary, apply_unary, evaluate_expr
 from repro.ir.lattice import TOP, LatticeValue
@@ -54,6 +55,7 @@ class TransformResult:
         return sum(self.pruned_branches.values())
 
 
+@collector_paused
 def transform_program(
     program: ast.Program,
     symbols: Dict[str, ProcedureSymbols],

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.core.collector import collector_paused
 from repro.lang import ast
 from repro.lang.symbols import CallSite, ProcedureSymbols
 
@@ -298,6 +299,7 @@ def diff_pcg(old: PCG, new: PCG) -> PCGDelta:
     )
 
 
+@collector_paused
 def build_pcg(
     program: ast.Program,
     symbols: Optional[Dict[str, ProcedureSymbols]] = None,

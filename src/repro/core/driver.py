@@ -33,6 +33,7 @@ from repro.analysis import make_engine
 from repro.analysis.base import IntraResult
 from repro.analysis.transform import TransformResult, transform_program
 from repro.callgraph.pcg import PCG, build_pcg
+from repro.core.collector import collector_paused
 from repro.core.config import ICPConfig
 from repro.core.effects import SummaryEffects
 from repro.core.flow_insensitive import FIResult, flow_insensitive_icp
@@ -314,6 +315,10 @@ def _transform(
     )
 
 
+# Paused too: it allocates between paused phases, and since each phase's
+# exit collection counts toward generation 1, an automatic collection here
+# would usually be a generation-1 one, inside the pipeline run.
+@collector_paused
 def transform_inputs(
     program: ast.Program,
     symbols: Dict[str, ProcedureSymbols],
@@ -417,8 +422,13 @@ class CompilationPipeline:
         self,
         source: Union[str, ast.Program],
         run_transform: bool = False,
+        previous: Optional[Dict[str, ProcedureSymbols]] = None,
     ) -> PipelineResult:
-        """Execute the pipeline over MiniF ``source`` (text or parsed AST)."""
+        """Execute the pipeline over MiniF ``source`` (text or parsed AST).
+
+        ``previous`` is passed to :func:`whole_program_phases`: symbols
+        already collected from these very procedure objects.
+        """
         config = self.config
         with self.obs.tracer.span(
             "pipeline",
@@ -427,7 +437,7 @@ class CompilationPipeline:
             engine=config.engine,
             cache=config.cache,
         ):
-            front = whole_program_phases(source, config, self.obs)
+            front = whole_program_phases(source, config, self.obs, previous)
             return engine_phases(
                 front, config, self.obs, self.cache, run_transform
             )

@@ -30,6 +30,7 @@ from functools import cached_property
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.callgraph.pcg import PCG
+from repro.core.collector import collector_paused
 from repro.core.config import ICPConfig
 from repro.ir.lattice import BOTTOM, TOP, Const, LatticeValue, meet
 from repro.lang import ast
@@ -98,6 +99,7 @@ class FIResult:
         return env
 
 
+@collector_paused
 def flow_insensitive_icp(
     program: ast.Program,
     symbols: Dict[str, ProcedureSymbols],

@@ -31,6 +31,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.analysis import make_engine
 from repro.analysis.base import CallEffects, IntraEngine, IntraResult
 from repro.callgraph.pcg import CallEdge, PCG
+from repro.core.collector import collector_paused
 from repro.core.config import ICPConfig
 from repro.core.effects import SummaryEffects
 from repro.core.flow_insensitive import FIResult, flow_insensitive_icp
@@ -123,6 +124,7 @@ class FSReuse:
     clean: FrozenSet[str]
 
 
+@collector_paused
 def flow_sensitive_icp(
     program: ast.Program,
     symbols: Dict[str, ProcedureSymbols],

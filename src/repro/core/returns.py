@@ -24,6 +24,7 @@ from typing import Dict, Optional
 from repro.analysis import make_engine
 from repro.analysis.base import IntraEngine, IntraResult
 from repro.callgraph.pcg import PCG
+from repro.core.collector import collector_paused
 from repro.core.config import ICPConfig
 from repro.core.effects import SummaryEffects
 from repro.core.flow_insensitive import FIResult
@@ -135,6 +136,7 @@ class ExitValueEffects(_ReturnProviderEffects):
         return self._config.admit(value)
 
 
+@collector_paused
 def compute_returns(
     program: ast.Program,
     symbols: Dict[str, ProcedureSymbols],

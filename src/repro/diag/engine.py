@@ -269,8 +269,9 @@ def check_source(
     config = config or ICPConfig()
     options = options or DiagOptions.from_config(config)
 
+    symbols = collect_symbols(program)
     structural = checks.check_call_signatures(
-        program, collect_symbols(program), config.allow_missing
+        program, symbols, config.allow_missing
     )
     if checks.has_fatal_signature_errors(structural):
         active = sorted(
@@ -283,7 +284,8 @@ def check_source(
             findings=kept, suppressed=suppressed, baselined=baselined
         )
 
-    result = CompilationPipeline(config, obs=obs).run(program)
+    pipeline = CompilationPipeline(config, obs=obs)
+    result = pipeline.run(program, previous=symbols)
     return run_diagnostics(
         result,
         options,

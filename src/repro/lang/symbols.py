@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set
 
+from repro.core.collector import collector_paused
 from repro.lang import ast
 
 
@@ -95,6 +96,7 @@ class ProcedureSymbols:
         )
 
 
+@collector_paused
 def collect_symbols(
     program: ast.Program,
     previous: Optional[Mapping[str, ProcedureSymbols]] = None,

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
+from repro.core.collector import collector_paused
 from repro.errors import ValidationError
 from repro.lang import ast
 from repro.lang.symbols import ProcedureSymbols, collect_symbols
 
 
+@collector_paused
 def validate_program(
     program: ast.Program,
     require_main: bool = True,

@@ -26,52 +26,55 @@ def render_procedure(proc: ast.Procedure) -> str:
 
 
 def _literal_sites(stmt: ast.Stmt) -> List[ast.Expr]:
-    """Every literal in ``stmt`` that can be perturbed safely.
+    """Every literal in ``stmt`` that can be perturbed safely, in pre-order.
 
     Divisor/modulus operands are excluded so a perturbation can never turn a
     folding division into one by zero elsewhere (we also never *produce*
     zero, but skipping divisors keeps the rule local and obvious).
     """
     sites: List[ast.Expr] = []
-
-    def visit_expr(expr: ast.Expr) -> None:
-        if isinstance(expr, (ast.IntLit, ast.FloatLit)):
-            sites.append(expr)
-        elif isinstance(expr, ast.Unary):
-            visit_expr(expr.operand)
-        elif isinstance(expr, ast.Binary):
-            visit_expr(expr.left)
-            if expr.op not in ("/", "%"):
-                visit_expr(expr.right)
-        elif isinstance(expr, ast.Index):
-            visit_expr(expr.index)
-
-    def visit_stmt(node: ast.Stmt) -> None:
-        if isinstance(node, ast.Block):
-            for child in node.stmts:
-                visit_stmt(child)
-        elif isinstance(node, ast.Assign):
-            visit_expr(node.expr)
-        elif isinstance(node, ast.AssignIndex):
-            visit_expr(node.index)
-            visit_expr(node.expr)
-        elif isinstance(node, (ast.CallStmt, ast.CallAssign)):
-            for arg in node.args:
-                visit_expr(arg)
-        elif isinstance(node, ast.If):
-            visit_expr(node.cond)
-            visit_stmt(node.then_block)
-            if node.else_block is not None:
-                visit_stmt(node.else_block)
-        elif isinstance(node, ast.While):
-            visit_expr(node.cond)
-            visit_stmt(node.body)
-        elif isinstance(node, (ast.Return, ast.Print)):
-            if getattr(node, "expr", None) is not None:
-                visit_expr(node.expr)
-
-    visit_stmt(stmt)
+    _visit_stmt(stmt, sites)
     return sites
+
+
+# Module-level, not closures: a self-recursive closure is a reference
+# cycle (function -> cell -> function) that only the cyclic collector frees.
+def _visit_expr(expr: ast.Expr, sites: List[ast.Expr]) -> None:
+    if isinstance(expr, (ast.IntLit, ast.FloatLit)):
+        sites.append(expr)
+    elif isinstance(expr, ast.Unary):
+        _visit_expr(expr.operand, sites)
+    elif isinstance(expr, ast.Binary):
+        _visit_expr(expr.left, sites)
+        if expr.op not in ("/", "%"):
+            _visit_expr(expr.right, sites)
+    elif isinstance(expr, ast.Index):
+        _visit_expr(expr.index, sites)
+
+
+def _visit_stmt(node: ast.Stmt, sites: List[ast.Expr]) -> None:
+    if isinstance(node, ast.Block):
+        for child in node.stmts:
+            _visit_stmt(child, sites)
+    elif isinstance(node, ast.Assign):
+        _visit_expr(node.expr, sites)
+    elif isinstance(node, ast.AssignIndex):
+        _visit_expr(node.index, sites)
+        _visit_expr(node.expr, sites)
+    elif isinstance(node, (ast.CallStmt, ast.CallAssign)):
+        for arg in node.args:
+            _visit_expr(arg, sites)
+    elif isinstance(node, ast.If):
+        _visit_expr(node.cond, sites)
+        _visit_stmt(node.then_block, sites)
+        if node.else_block is not None:
+            _visit_stmt(node.else_block, sites)
+    elif isinstance(node, ast.While):
+        _visit_expr(node.cond, sites)
+        _visit_stmt(node.body, sites)
+    elif isinstance(node, (ast.Return, ast.Print)):
+        if getattr(node, "expr", None) is not None:
+            _visit_expr(node.expr, sites)
 
 
 def mutate_procedure(proc: ast.Procedure, seed: int) -> ast.Procedure:

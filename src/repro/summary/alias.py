@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.callgraph.pcg import PCG
+from repro.core.collector import collector_paused
 from repro.lang import ast
 from repro.lang.symbols import ProcedureSymbols
 
@@ -74,6 +75,7 @@ def changed_alias_procs(old: AliasInfo, new: AliasInfo) -> Set[str]:
     }
 
 
+@collector_paused
 def compute_aliases(
     program: ast.Program,
     symbols: Dict[str, ProcedureSymbols],

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Set
 
 from repro.callgraph.pcg import PCG
+from repro.core.collector import collector_paused
 from repro.lang import ast
 from repro.lang.symbols import CallSite, ProcedureSymbols
 from repro.summary.alias import AliasInfo
@@ -134,6 +135,7 @@ def changed_modref_procs(old: ModRefInfo, new: ModRefInfo) -> Set[str]:
     }
 
 
+@collector_paused
 def compute_modref(
     program: ast.Program,
     symbols: Dict[str, ProcedureSymbols],

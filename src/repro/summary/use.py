@@ -20,6 +20,7 @@ from typing import Dict, FrozenSet, Optional, Set
 
 from repro.analysis.liveness import upward_exposed
 from repro.callgraph.pcg import PCG
+from repro.core.collector import collector_paused
 from repro.ir.builder import build_cfg
 from repro.lang import ast
 from repro.lang.symbols import CallSite, ProcedureSymbols
@@ -57,6 +58,7 @@ class UseReuse:
     seeds: FrozenSet[str]
 
 
+@collector_paused
 def compute_use(
     program: ast.Program,
     symbols: Dict[str, ProcedureSymbols],

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.api import analyze
+from repro.bench.suite import SUITE, build_benchmark_source
 from repro.core.config import ICPConfig
 from repro.diag import DiagOptions, check_source, run_diagnostics
 from repro.diag.findings import RULES
+from repro.diag.output import render_sarif, render_text
+from repro.diag.suppress import source_suppressions
+from repro.lang import symbols as symbols_module
 from repro.obs import Observability
 
 NOISY = """\
@@ -66,6 +70,31 @@ class TestRunDiagnostics:
         direct = run_diagnostics(result)
         via_source = check_source(NOISY)
         assert direct.findings == via_source.findings
+
+    def test_check_source_collects_each_procedure_once(self, monkeypatch):
+        source = build_benchmark_source(SUITE["015.doduc"])
+        collected = []
+        collect_one = symbols_module._collect_one
+
+        def counting(proc, globals_in_scope):
+            collected.append(proc.name)
+            return collect_one(proc, globals_in_scope)
+
+        monkeypatch.setattr(symbols_module, "_collect_one", counting)
+        check_source(source)
+        assert len(collected) == len(set(collected)) == 71
+
+    @pytest.mark.parametrize("name", ["030.matrix300", "093.nasa7", None])
+    def test_check_source_matches_a_fresh_collection(self, name):
+        source = NOISY if name is None else build_benchmark_source(SUITE[name])
+        path = f"{name or 'noisy'}.mf"
+        shared = check_source(source, path=path)
+        fresh = run_diagnostics(
+            analyze(source), suppressions=source_suppressions(source)
+        )
+        assert shared.findings and shared.findings == fresh.findings
+        for render in (render_text, render_sarif):
+            assert render([(path, shared)]) == render([(path, fresh)])
 
     def test_counts_property(self):
         diag = check_source(NOISY)
